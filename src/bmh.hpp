@@ -53,7 +53,7 @@
 #include "core/profile.hpp"
 #include "core/two_sided.hpp"
 
-// Matching engine (registry, pipelines, batch runner)
+// Matching engine (registry, pipelines, bmh::Engine)
 #include "engine/engine.hpp"
 
 // Observability (metrics, tracing, exporters)

@@ -9,11 +9,9 @@
 /// and persistent store, executing jobs concurrently with deterministic
 /// seeding and a JSON-lines result sink. Every scaling, caching or
 /// multi-backend feature plugs in here rather than into the algorithm
-/// implementations. The legacy one-shot `run_batch`/`run_batch_stream`
-/// free functions (batch_runner.hpp) remain as shims over a scoped engine.
+/// implementations.
 
 #include "engine/algorithm.hpp"
-#include "engine/batch_runner.hpp"
 #include "engine/engine_api.hpp"
 #include "engine/graph_cache.hpp"
 #include "engine/graph_store.hpp"

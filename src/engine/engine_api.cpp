@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <optional>
 #include <string_view>
@@ -110,20 +111,18 @@ void warn_callback_error(const char* what) noexcept {
 
 /// A caller's batch, viewed — the caller blocks in run()/run_collect()
 /// until `finished`, so the vector outlives the batch. Workers claim
-/// indices with one atomic fetch_add each, exactly the pull model the old
-/// per-batch pool used, so a million-job batch costs a handful of ring
-/// descriptors (one per worker), not a million. Single-job submits don't
-/// come through here anymore — they ride the slot freelist (SubmitSlot).
+/// indices with one atomic fetch_add each, so a million-job batch costs a
+/// handful of ring descriptors (one per worker), not a million. Single-job
+/// submits don't come through here — they ride the slot freelist
+/// (SubmitSlot).
 struct Engine::Batch {
   const JobSpec* jobs = nullptr;  ///< base of the job array
   std::size_t count = 0;
-  std::size_t base_index = 0;     ///< derivation index of jobs[0]
   std::uint64_t enqueue_ns = 0;   ///< obs::now_ns() when accepted (queue wait)
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> completed{0};
   /// Invoked on worker threads, unsynchronized — each caller owns its
-  /// ordering (run() reorders by index, run_collect() writes by slot,
-  /// submit() fulfils its promise).
+  /// ordering (run() reorders by index, run_collect() writes by slot).
   std::function<void(std::size_t, JobResult&&)> deliver;
   std::promise<void> finished;    ///< fulfilled when completed == count
 };
@@ -132,7 +131,7 @@ struct Engine::Batch {
 /// find-or-create path takes a mutex), then every per-job update is a
 /// relaxed atomic through these pointers — the hot path never touches a
 /// lock or an allocation. Also carries the per-job scratch execute() hands
-/// back to the publish burst in worker_loop (single-threaded per worker).
+/// back to the publish burst in run_job (single-threaded per worker).
 struct Engine::WorkerObs {
   obs::MetricDomain* domain = nullptr;
   obs::Counter* jobs_run = nullptr;
@@ -301,7 +300,14 @@ void Engine::wake_one() noexcept {
   }
 }
 
-void Engine::enqueue(std::shared_ptr<Batch> batch) {
+void Engine::enqueue_and_wait(const std::vector<JobSpec>& jobs,
+                              std::function<void(std::size_t, JobResult&&)> deliver) {
+  if (jobs.empty()) return;
+  auto batch = std::make_shared<Batch>();
+  batch->jobs = jobs.data();
+  batch->count = jobs.size();
+  batch->deliver = std::move(deliver);
+  std::future<void> finished = batch->finished.get_future();
   if constexpr (obs::kEnabled) batch->enqueue_ns = obs::now_ns();
   // seq_cst: the drain protocol's pending_submits_ check must totally order
   // against this registration (see worker_loop's stopping branch).
@@ -310,14 +316,14 @@ void Engine::enqueue(std::shared_ptr<Batch> batch) {
   // claims inside the batch are fetch_add on Batch::next, so extra
   // descriptors popped after the batch is exhausted are dropped harmlessly.
   const std::size_t fanout =
-      std::min<std::size_t>(static_cast<std::size_t>(threads_),
-                            std::max<std::size_t>(batch->count, 1));
+      std::min<std::size_t>(static_cast<std::size_t>(threads_), batch->count);
   for (std::size_t k = 0; k < fanout; ++k) {
     ring_.push(WorkItem{batch, 0});
     wake_one();
   }
   // release: deregistration must order after the ring publishes above.
   pending_submits_.fetch_sub(1, std::memory_order_release);
+  finished.wait();
 }
 
 /// Per-worker accumulator for the counters that tolerate batching: the
@@ -326,8 +332,8 @@ void Engine::enqueue(std::shared_ptr<Batch> batch) {
 /// publishes per job under one PublishGuard; these slices flush once per
 /// drain run (plus every 64 jobs as a staleness bound), so a hot drain pays
 /// one seqlock bracket for the breakdown instead of one per job. Flushed
-/// before any blocking caller can observe completion — see drain_batch and
-/// run_single.
+/// before any blocking caller can observe completion — see run_job and
+/// run_item.
 struct Engine::WorkerSlices {
   std::uint64_t run_match = 0;
   std::uint64_t run_undirected_match = 0;
@@ -390,63 +396,54 @@ namespace {
 constexpr unsigned kSliceFlushEvery = 64;
 } // namespace
 
-void Engine::worker_loop(int worker) {
-  // Each worker owns one scratch arena, reused across every job it ever
-  // executes — batches and submits alike. After its first job of each
-  // shape the pipeline hot path performs no heap allocations, and unlike
-  // the per-call pools of the legacy free functions, the warmth survives
-  // across batches for the engine's whole lifetime.
+/// Everything a worker thread owns, reused across every job it ever
+/// executes — batches and submits alike: one scratch arena (after its first
+/// job of each shape the pipeline hot path performs no heap allocations),
+/// its pre-resolved instruments, and the deferred slice counters.
+struct Engine::Worker {
   Workspace ws;
+  WorkerObs obs;
+  WorkerSlices slices;
+};
 
+void Engine::worker_loop(int worker) {
   // Re-resolve this worker's instruments (pure find: the constructor already
   // materialized them) and bind its trace journal; from here on every job's
   // accounting is relaxed atomics through WorkerObs — nothing
   // observability-related allocates or locks on the hot path.
-  WorkerObs wo =
-      resolve_worker_obs(*worker_domains_[static_cast<std::size_t>(worker)]);
+  Worker w;
+  w.obs = resolve_worker_obs(*worker_domains_[static_cast<std::size_t>(worker)]);
   obs::bind_thread_journal(journals_[static_cast<std::size_t>(worker)].get());
-  WorkerSlices slices;
 
   WorkItem item;
   for (;;) {
+    // Drain protocol: once stopping, a submit that already entered
+    // (pending_submits_ registered) may hold a claimed-but-unpublished ring
+    // position that try_pop cannot see. Only a pop that fails *after* we
+    // observed no such producer proves the ring drained; until then keep
+    // popping (a producer blocked on a full ring needs us to free slots)
+    // and yield. Submits that begin after that final empty observation are
+    // the caller racing the destructor's completion, which no object can
+    // survive. acquire pairs with the destructor's release store.
+    const bool stopping = stopping_.load(std::memory_order_acquire);
+    // seq_cst: totally ordered against the producers' registrations.
+    const bool final_look = stopping && pending_submits_.load(std::memory_order_seq_cst) == 0;
     if (ring_.try_pop(item)) {
-      if (item.batch != nullptr) {
-        drain_batch(item.batch, ws, wo, slices);
-        item.batch.reset();  // drop the ref before sleeping on an idle ring
-      } else {
-        run_single(item.slot, ws, wo, slices);
-      }
+      run_item(item, w);
       continue;
     }
-    // acquire pairs with the destructor's release store of stopping_.
-    if (stopping_.load(std::memory_order_acquire)) {
-      // Drain protocol: a submit that already entered (pending_submits_
-      // registered) may hold a claimed-but-unpublished ring position that
-      // try_pop cannot see — spin until every such producer has published,
-      // then take one more look before exiting. Submits that begin after
-      // this final empty observation are the caller racing the destructor's
-      // completion, which no object can survive (same contract as the old
-      // mutex queue).
-      if (pending_submits_.load(std::memory_order_seq_cst) != 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      if (ring_.try_pop(item)) {
-        if (item.batch != nullptr) {
-          drain_batch(item.batch, ws, wo, slices);
-          item.batch.reset();
-        } else {
-          run_single(item.slot, ws, wo, slices);
-        }
-        continue;
-      }
-      slices.flush(wo);
+    if (final_look) {
+      w.slices.flush(w.obs);
       return;
+    }
+    if (stopping) {
+      std::this_thread::yield();
+      continue;
     }
     // Nothing ready: park. Register as a sleeper first, then re-check the
     // ring (Dekker pairing with wake_one's fence) so a publish that raced
     // our pop either sees our registration or is seen by this re-check.
-    slices.flush(wo);
+    w.slices.flush(w.obs);
     UniqueLock lock(wake_mutex_);
     // seq_cst registration + fence: Dekker pairing with wake_one()'s fence,
     // so a racing producer either sees the sleeper or is seen by the
@@ -461,91 +458,59 @@ void Engine::worker_loop(int worker) {
   }
 }
 
-void Engine::drain_batch(const std::shared_ptr<Batch>& batch, Workspace& ws,
-                         WorkerObs& wo, WorkerSlices& slices) {
+/// The one dispatch over the two descriptor kinds. Each keeps its own
+/// slice-flush rule, because metrics() must be exact once any blocking call
+/// returns: a batch flushes once per drain run, before its completion
+/// bookkeeping can wake the caller; a submit flushes before delivering
+/// whenever the ring has run dry (see run_job).
+void Engine::run_item(WorkItem& item, Worker& w) {
+  if (item.batch == nullptr) {
+    SubmitSlot& slot = slots_[item.slot];
+    // Move the submission out and recycle the slot before executing: the
+    // engine's submission capacity bounds *queued* jobs, and a slot pinned
+    // for a job's whole runtime would halve the effective window.
+    const JobSpec job = std::move(slot.job);
+    const std::function<void(JobResult&&)> done = std::move(slot.done);
+    const std::size_t index = slot.index;
+    const std::uint64_t enqueue_ns = slot.enqueue_ns;
+    free_slots_.push(std::uint32_t{item.slot});
+    run_job(job, index, enqueue_ns, /*flush_if_idle=*/true, w,
+            [&](JobResult&& result) {
+              if (done) done(std::move(result));
+            });
+    return;
+  }
   // Drain without re-touching any queue state: each claim is one
   // uncontended fetch_add, so a million-job batch costs a million atomic
   // increments against its own counter, not a million ring operations.
+  Batch& batch = *item.batch;
   std::size_t drained = 0;
-  for (;;) {
-    const std::size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch->count) break;
-    const std::uint64_t claimed_ns = obs::kEnabled ? obs::now_ns() : 0;
-    const std::uint64_t queue_wait_ns =
-        claimed_ns > batch->enqueue_ns ? claimed_ns - batch->enqueue_ns : 0;
-    obs::record_phase("queue_wait", batch->enqueue_ns, queue_wait_ns);
-    wo.graph_acquire_ns = 0;
-    wo.direct_build = false;
-    wo.job_io_retries = 0;
-    JobResult result = execute(batch->jobs[i], batch->base_index + i, ws, wo);
-    // One seqlock-bracketed burst publishes the job's invariant-bearing
-    // counters: a concurrent metrics() snapshot sees all of it or none of
-    // it — jobs_run can never lead its own latency sample or its failure
-    // count within one worker domain. The breakdown slices accumulate in
-    // `slices` and flush per drain run.
-    {
-      obs::PublishGuard guard(*wo.domain);
-      wo.jobs_run->inc();
-      if (!result.ok) wo.jobs_failed->inc();
-      if constexpr (obs::kEnabled) {
-        wo.queue_wait->record(queue_wait_ns);
-        wo.graph_acquire->record(wo.graph_acquire_ns);
-        wo.job->record(obs::now_ns() - claimed_ns);
-        for (const StageStats& st : result.result.stages) {
-          if (st.stage == "scale") wo.stage_scale->record_seconds(st.seconds);
-          else if (st.stage == "match") wo.stage_match->record_seconds(st.seconds);
-          else if (st.stage == "augment") wo.stage_augment->record_seconds(st.seconds);
-          else if (st.stage == "analyze") wo.stage_analyze->record_seconds(st.seconds);
-          else if (st.stage == "convert") wo.stage_convert->record_seconds(st.seconds);
-        }
-        wo.ws_bytes->set(static_cast<std::int64_t>(ws.bytes_reserved()));
-      }
-    }
-    slices.account(result, wo);
-    if (slices.since_flush >= kSliceFlushEvery) slices.flush(wo);
-    // Containment boundary: deliver runs caller code (run()'s sink, a
-    // submit callback) on this pool thread. A throw here used to unwind
-    // through worker_loop and terminate the process via the std::thread —
-    // now it costs the caller its own notification and nothing else: the
-    // counter ticks, one note hits stderr per process, the batch still
-    // completes and every other job still delivers.
-    try {
-      batch->deliver(i, std::move(result));
-    } catch (const std::exception& e) {
-      wo.callback_errors->inc();
-      warn_callback_error(e.what());
-    } catch (...) {
-      wo.callback_errors->inc();
-      warn_callback_error("non-exception throw");
-    }
-    ++drained;
+  for (std::size_t i = 0;
+       (i = batch.next.fetch_add(1, std::memory_order_relaxed)) < batch.count;
+       ++drained)
+    run_job(batch.jobs[i], i, batch.enqueue_ns, /*flush_if_idle=*/false, w,
+            [&](JobResult&& result) { batch.deliver(i, std::move(result)); });
+  if (drained != 0) {
+    // Flush the slices *before* the completion bookkeeping: the caller
+    // blocked on `finished` reads metrics the moment its future fires, and
+    // must see this run's breakdown (the promise's internal synchronization
+    // publishes the flushed values).
+    w.slices.flush(w.obs);
+    // Batched completion: one fetch_add covers every job this worker
+    // drained in the run, instead of one per job.
+    if (batch.completed.fetch_add(drained, std::memory_order_acq_rel) + drained ==
+        batch.count)
+      batch.finished.set_value();
   }
-  if (drained == 0) return;  // stale fan-out descriptor, everything claimed
-  // Flush the slices *before* the completion bookkeeping: the caller
-  // blocked on `finished` reads metrics the moment its future fires, and
-  // must see this run's breakdown (the promise's internal synchronization
-  // publishes the flushed values).
-  slices.flush(wo);
-  // Batched completion: one fetch_add covers every job this worker drained
-  // in the run, instead of one per job.
-  if (batch->completed.fetch_add(drained, std::memory_order_acq_rel) +
-          drained ==
-      batch->count)
-    batch->finished.set_value();
+  item.batch.reset();  // drop the ref before sleeping on an idle ring
 }
 
-void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo,
-                        WorkerSlices& slices) {
-  SubmitSlot& slot = slots_[slot_index];
-  // Move the submission out and recycle the slot before executing: the
-  // engine's submission capacity bounds *queued* jobs, and a slot pinned
-  // for a job's whole runtime would halve the effective window.
-  JobSpec job = std::move(slot.job);
-  std::function<void(JobResult&&)> done = std::move(slot.done);
-  const std::size_t index = slot.index;
-  const std::uint64_t enqueue_ns = slot.enqueue_ns;
-  free_slots_.push(std::uint32_t{slot_index});
-
+/// The one per-job routine both descriptor kinds reach: claim timing,
+/// execution, the published counters and the contained delivery.
+template <typename Deliver>
+void Engine::run_job(const JobSpec& job, std::size_t index, std::uint64_t enqueue_ns,
+                     bool flush_if_idle, Worker& w, Deliver&& deliver) {
+  WorkerObs& wo = w.obs;
   const std::uint64_t claimed_ns = obs::kEnabled ? obs::now_ns() : 0;
   const std::uint64_t queue_wait_ns =
       claimed_ns > enqueue_ns ? claimed_ns - enqueue_ns : 0;
@@ -553,7 +518,11 @@ void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo,
   wo.graph_acquire_ns = 0;
   wo.direct_build = false;
   wo.job_io_retries = 0;
-  JobResult result = execute(job, index, ws, wo);
+  JobResult result = execute(job, index, w);
+  // One seqlock-bracketed burst publishes the job's invariant-bearing
+  // counters: a concurrent metrics() snapshot sees all of it or none of it —
+  // jobs_run can never lead its own latency sample or its failure count
+  // within one worker domain. The breakdown slices accumulate in w.slices.
   {
     obs::PublishGuard guard(*wo.domain);
     wo.jobs_run->inc();
@@ -569,19 +538,23 @@ void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo,
         else if (st.stage == "analyze") wo.stage_analyze->record_seconds(st.seconds);
         else if (st.stage == "convert") wo.stage_convert->record_seconds(st.seconds);
       }
-      wo.ws_bytes->set(static_cast<std::int64_t>(ws.bytes_reserved()));
+      wo.ws_bytes->set(static_cast<std::int64_t>(w.ws.bytes_reserved()));
     }
   }
-  slices.account(result, wo);
-  // Flush before delivering when no more work is immediately ready (or at
-  // the staleness bound): the delivery may fulfil a future someone is
-  // blocked on, and a caller that serializes — submit, get, read metrics —
-  // must see this job's slices. Under open-loop load the ring stays ready
-  // and the flush amortizes across the run.
-  if (!ring_.ready() || slices.since_flush >= kSliceFlushEvery)
-    slices.flush(wo);
+  w.slices.account(result, wo);
+  // With `flush_if_idle`, flush before delivering when no more work is
+  // immediately ready: the delivery may fulfil a future someone is blocked
+  // on, and a caller that serializes — submit, get, read metrics — must see
+  // this job's slices. Under open-loop load the ring stays ready and the
+  // flush amortizes across the run; kSliceFlushEvery bounds staleness.
+  if (w.slices.since_flush >= kSliceFlushEvery || (flush_if_idle && !ring_.ready()))
+    w.slices.flush(wo);
+  // Containment boundary: deliver runs caller code (run()'s sink, a submit
+  // callback) on this pool thread. A throw costs the caller its own
+  // notification and nothing else: the counter ticks, one note hits stderr
+  // per process, the batch still completes and every other job delivers.
   try {
-    if (done) done(std::move(result));
+    deliver(std::move(result));
   } catch (const std::exception& e) {
     wo.callback_errors->inc();
     warn_callback_error(e.what());
@@ -591,8 +564,7 @@ void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo,
   }
 }
 
-JobResult Engine::execute(const JobSpec& job, std::size_t index, Workspace& ws,
-                          WorkerObs& wo) {
+JobResult Engine::execute(const JobSpec& job, std::size_t index, Worker& w) {
   BMH_SPAN("job");
   JobResult out;
   out.index = index;
@@ -614,18 +586,9 @@ JobResult Engine::execute(const JobSpec& job, std::size_t index, Workspace& ws,
   bool acquiring = true;
   try {
     // Cache-served graphs are shared immutable state; `shared` keeps the
-    // entry alive across the pipeline however the cache evicts. A job whose
-    // instance varies with the per-index derived seed is only worth
-    // retaining when the cache can live to see the key again — the engine's
-    // own long-lived cache can (re-running a batch re-derives the same
-    // keys), a batch-scoped shim cache cannot (indices are unique within
-    // one batch), which is what retain_derived_seed_graphs encodes. Results
-    // are identical on every path — build_graph is deterministic in
+    // entry alive across the pipeline however the cache evicts. Results are
+    // identical with or without the cache — build_graph is deterministic in
     // (spec, effective seed).
-    const bool single_use = cache_ != nullptr &&
-                            !config_.retain_derived_seed_graphs &&
-                            !job.seed.has_value() &&
-                            graph_spec_depends_on_job_seed(job.input);
     std::shared_ptr<const BipartiteGraph> shared;
     std::optional<BipartiteGraph> local;
     const BipartiteGraph* graph = nullptr;
@@ -640,18 +603,18 @@ JobResult Engine::execute(const JobSpec& job, std::size_t index, Workspace& ws,
       // transient_acquire_error.
       for (int attempt = 1;; ++attempt) {
         try {
-          if (cache_ != nullptr && !single_use) {
+          if (cache_ != nullptr) {
             shared = cache_->get_or_build(job.input, out.seed);
             graph = shared.get();
           } else {
             local.emplace(build_graph(job.input, out.seed));
-            wo.direct_build = true;  // counted in worker_loop's publish burst
+            w.obs.direct_build = true;  // counted in run_job's slice tally
             graph = &*local;
           }
           break;
         } catch (const std::exception& e) {
           if (attempt >= kAcquireAttempts || !transient_acquire_error(e)) throw;
-          ++wo.job_io_retries;
+          ++w.obs.job_io_retries;
           // Jitter off the job seed: deterministic for a given job, spread
           // across a batch so retries of many jobs don't re-collide.
           const std::uint64_t jitter_us =
@@ -660,7 +623,7 @@ JobResult Engine::execute(const JobSpec& job, std::size_t index, Workspace& ws,
         }
       }
     }
-    if constexpr (obs::kEnabled) wo.graph_acquire_ns = obs::now_ns() - acquire_start;
+    if constexpr (obs::kEnabled) w.obs.graph_acquire_ns = obs::now_ns() - acquire_start;
     out.rows = graph->num_rows();
     out.cols = graph->num_cols();
     out.edges = graph->num_edges();
@@ -678,13 +641,13 @@ JobResult Engine::execute(const JobSpec& job, std::size_t index, Workspace& ws,
     // store — and diverges only in which pipeline body runs.
     switch (job.kind) {
       case JobKind::kMatch:
-        run_pipeline_ws(*graph, config, ws, out.result);
+        run_pipeline_ws(*graph, config, w.ws, out.result);
         break;
       case JobKind::kUndirectedMatch:
-        run_undirected_pipeline_ws(*graph, config, ws, out.result);
+        run_undirected_pipeline_ws(*graph, config, w.ws, out.result);
         break;
       case JobKind::kAnalyze:
-        run_analyze_pipeline_ws(*graph, config, ws, out.result);
+        run_analyze_pipeline_ws(*graph, config, w.ws, out.result);
         break;
     }
     out.ok = true;
@@ -775,58 +738,44 @@ bool Engine::try_submit(JobSpec&& job, std::function<void(JobResult&&)>&& done,
 
 std::size_t Engine::run(const std::vector<JobSpec>& jobs,
                         const std::function<void(const JobResult&)>& sink) {
-  if (jobs.empty()) return 0;
-  auto batch = std::make_shared<Batch>();
-  batch->jobs = jobs.data();
-  batch->count = jobs.size();
-
   // Out-of-order finishers park here until every lower index has been
   // emitted; in the steady state the window holds at most ~threads records.
-  // Locals suffice: every deliver happens-before the batch's `finished`
-  // promise is fulfilled, and this frame outlives the wait below.
+  // Locals suffice: every deliver happens-before the batch completes, and
+  // this frame outlives the wait.
   Mutex mutex;
   std::map<std::size_t, JobResult> pending;
   std::size_t next_emit = 0;
   std::size_t failed = 0;
-  batch->deliver = [&](std::size_t i, JobResult&& result) {
+  enqueue_and_wait(jobs, [&](std::size_t i, JobResult&& result) {
     LockGuard lock(mutex);
     pending.emplace(i, std::move(result));
+    // A throwing sink must not stall or repeat the stream: every ready
+    // record is still emitted exactly once, and the first throw is rethrown
+    // afterwards for the worker's containment boundary (run_job) to count.
+    std::exception_ptr thrown;
     while (!pending.empty() && pending.begin()->first == next_emit) {
       const JobResult& head = pending.begin()->second;
       if (!head.ok) ++failed;
-      if (sink) sink(head);
+      if (sink) {
+        try {
+          sink(head);
+        } catch (...) {
+          if (!thrown) thrown = std::current_exception();
+        }
+      }
       pending.erase(pending.begin());  // Matching and all — memory stays bounded
       ++next_emit;
     }
-  };
-
-  std::future<void> finished = batch->finished.get_future();
-  enqueue(std::move(batch));
-  finished.wait();
+    if (thrown) std::rethrow_exception(thrown);
+  });
   return failed;
 }
 
-std::vector<JobResult> Engine::run_collect(
-    const std::vector<JobSpec>& jobs,
-    const std::function<void(const JobResult&)>& on_done) {
-  if (jobs.empty()) return {};
-  auto batch = std::make_shared<Batch>();
-  batch->jobs = jobs.data();
-  batch->count = jobs.size();
-
+std::vector<JobResult> Engine::run_collect(const std::vector<JobSpec>& jobs) {
   std::vector<JobResult> results(jobs.size());
-  Mutex done_mutex;
-  batch->deliver = [&](std::size_t i, JobResult&& result) {
+  enqueue_and_wait(jobs, [&](std::size_t i, JobResult&& result) {
     results[i] = std::move(result);
-    if (on_done) {
-      LockGuard lock(done_mutex);
-      on_done(results[i]);
-    }
-  };
-
-  std::future<void> finished = batch->finished.get_future();
-  enqueue(std::move(batch));
-  finished.wait();
+  });
   return results;
 }
 

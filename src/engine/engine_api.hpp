@@ -3,13 +3,10 @@
 /// \brief bmh::Engine — the long-lived serving façade over the matching
 /// engine's pool, cache, and store.
 ///
-/// PRs 1–4 grew the serving layer one subsystem at a time, and its public
-/// surface accreted the same way: `run_batch` / `run_batch_stream` free
-/// functions re-plumbed a worker pool, per-worker Workspace arenas, a
-/// sharded GraphCache and an optional GraphStore tier on *every call*, with
-/// a widening `BatchOptions` grab-bag to carry the knobs. A production
-/// server does the opposite: it constructs the expensive state once and
-/// keeps it warm across requests. `Engine` is that object:
+/// A server constructs its expensive state once and keeps it warm across
+/// requests. `Engine` is that object: it owns a worker pool, one
+/// Workspace arena per worker, a sharded GraphCache and an optional
+/// GraphStore tier, all fixed at construction by an EngineConfig:
 ///
 ///   bmh::EngineConfig config;
 ///   config.threads = 0;                      // auto: one per processor
@@ -27,13 +24,11 @@
 /// builds (`Stats::cold_builds`), serving every instance from memory or the
 /// persistent store.
 ///
-/// Determinism contract (unchanged from the free functions): the job at
-/// batch index i — or the i-th `submit` since construction — runs with
-/// `derive_job_seed(config.seed, i)` unless its spec pins a seed, and
-/// batch emission is index-ordered, so output is byte-identical for any
-/// `threads` value and identical to the legacy `run_batch` /
-/// `run_batch_stream` paths (which are now thin shims over a scoped
-/// Engine).
+/// Determinism contract: the job at batch index i — or the i-th `submit`
+/// since construction — runs with `derive_job_seed(config.seed, i)` unless
+/// its spec pins a seed, and batch emission is index-ordered, so output is
+/// byte-identical for any `threads` value, with or without the cache and
+/// store.
 ///
 /// Threading: every method is safe to call from multiple threads. Batches
 /// and submits are executed FIFO by one shared pool; `run`/`run_collect`
@@ -42,15 +37,15 @@
 /// waiting on itself). The destructor finishes all accepted work first, so
 /// a pending `submit` future never ends up with a broken promise.
 ///
-/// Submission path (PR 9): jobs enter through a bounded lock-free MPSC
-/// ring (util/mpsc_ring.hpp) of `submit_queue_depth` single-job slots —
-/// a warm single-job `submit` performs no heap allocation and, with
-/// workers awake, never touches a mutex (the engine's condition variable
-/// survives only for worker sleep/wake, armed by an atomic sleeper
-/// count). The ring is backpressure by construction: when every slot is
-/// in use, blocking `submit` waits for capacity and `try_submit` returns
-/// false immediately. Size it with EngineConfig::submit_queue_depth and
-/// read the resolved value back from submit_capacity().
+/// Submission path: jobs enter through a bounded lock-free MPSC ring
+/// (util/mpsc_ring.hpp) of `submit_queue_depth` single-job slots — a warm
+/// single-job `submit` performs no heap allocation and, with workers awake,
+/// never touches a mutex (the engine's condition variable survives only for
+/// worker sleep/wake, armed by an atomic sleeper count). The ring is
+/// backpressure by construction: when every slot is in use, blocking
+/// `submit` waits for capacity and `try_submit` returns false immediately.
+/// Size it with EngineConfig::submit_queue_depth and read the resolved
+/// value back from submit_capacity().
 
 #include <atomic>
 #include <condition_variable>
@@ -75,9 +70,7 @@ namespace bmh {
 
 class GraphStore;
 
-/// Everything an Engine owns, fixed at construction. Subsumes the legacy
-/// `BatchOptions`: what used to be per-call wiring is now the session state
-/// of one long-lived object (see the migration table in README.md).
+/// Everything an Engine owns, fixed at construction.
 struct EngineConfig {
   /// Worker threads in the pool (the number of jobs in flight). 0
   /// auto-detects one per processor; the resolved value is reported by
@@ -117,14 +110,6 @@ struct EngineConfig {
   /// `run_collect` calls are not bounded by it (a batch occupies a handful
   /// of ring descriptors regardless of its job count).
   std::size_t submit_queue_depth = 0;
-  /// Whether graphs whose instance varies with the per-index derived seed
-  /// are retained in the cache. A long-lived engine keeps them (default):
-  /// re-running the same batch re-derives the same keys, so a warm second
-  /// batch is pure hits even for unpinned randomized specs. The legacy
-  /// shims' batch-scoped engines set this false — a cache that dies with
-  /// its batch can never re-hit per-index keys, so retaining them only
-  /// causes eviction churn. Results are identical either way.
-  bool retain_derived_seed_graphs = true;
 };
 
 /// Failure taxonomy of a job record: which failure domain produced an
@@ -260,16 +245,14 @@ public:
   /// index order, from worker threads (serialized internally); each record
   /// is dropped as soon as the callback returns, so memory stays bounded by
   /// the pool's out-of-order window. Blocks until the batch completes;
-  /// returns the number of failed (ok=false) jobs.
+  /// returns the number of failed (ok=false) jobs. A sink that throws is
+  /// contained like a throwing submit callback (worker.callback_errors):
+  /// the stream goes on and every record is still offered exactly once.
   std::size_t run(const std::vector<JobSpec>& jobs,
                   const std::function<void(const JobResult&)>& sink);
 
-  /// Runs a batch and collects the results in index order. `on_done`, when
-  /// set, is invoked once per finished job from worker threads in
-  /// completion order (serialized by an internal mutex).
-  [[nodiscard]] std::vector<JobResult> run_collect(
-      const std::vector<JobSpec>& jobs,
-      const std::function<void(const JobResult&)>& on_done = {});
+  /// Runs a batch and collects the results in index order.
+  [[nodiscard]] std::vector<JobResult> run_collect(const std::vector<JobSpec>& jobs);
 
   [[nodiscard]] Stats stats() const;
 
@@ -309,6 +292,7 @@ private:
   struct Batch;
   struct WorkerObs;
   struct WorkerSlices;
+  struct Worker;
 
   /// One unit of work in the submission ring: either a whole batch (shared
   /// ownership — stale fan-out descriptors may outlive the batch's last
@@ -331,7 +315,10 @@ private:
   };
 
   [[nodiscard]] static EngineConfig resolve(EngineConfig config);
-  void enqueue(std::shared_ptr<Batch> batch);
+  /// Fans `jobs` out to the pool as one Batch and blocks until every job
+  /// has been delivered through `deliver` (worker threads, any order).
+  void enqueue_and_wait(const std::vector<JobSpec>& jobs,
+                        std::function<void(std::size_t, JobResult&&)> deliver);
   static WorkerObs resolve_worker_obs(obs::MetricDomain& domain);
   void wake_one() noexcept;
   std::uint32_t acquire_slot_blocking();
@@ -339,12 +326,11 @@ private:
                     std::function<void(JobResult&&)>&& done,
                     std::optional<std::size_t> index);
   void worker_loop(int worker);
-  void drain_batch(const std::shared_ptr<Batch>& batch, Workspace& ws,
-                   WorkerObs& wo, WorkerSlices& slices);
-  void run_single(std::uint32_t slot, Workspace& ws, WorkerObs& wo,
-                  WorkerSlices& slices);
-  JobResult execute(const JobSpec& job, std::size_t index, Workspace& ws,
-                    WorkerObs& wo);
+  void run_item(WorkItem& item, Worker& w);
+  template <typename Deliver>
+  void run_job(const JobSpec& job, std::size_t index, std::uint64_t enqueue_ns,
+               bool flush_if_idle, Worker& w, Deliver&& deliver);
+  JobResult execute(const JobSpec& job, std::size_t index, Worker& w);
 
   EngineConfig config_;
   int threads_ = 1;

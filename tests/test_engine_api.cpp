@@ -1,7 +1,6 @@
 /// \file test_engine_api.cpp
 /// \brief Tests for the bmh::Engine session façade: lifecycle (warm batches
-/// byte-identical to the legacy one-shot paths, second batch pure
-/// cache/store hits), submit() futures and callbacks, concurrent submit
+/// byte-identical to fresh engines, second batch pure cache/store hits), submit() futures and callbacks, concurrent submit
 /// stress + determinism (the ASan/UBSan ctest job runs this), the serve
 /// round trip at API level, thread auto-detection, and the GraphStore
 /// prune budget + EngineConfig wiring.
@@ -54,20 +53,22 @@ std::string jsonl(const std::vector<JobResult>& results) {
 
 // ------------------------------------------------------------ lifecycle ---
 
-TEST(EngineApi, WarmBatchesMatchLegacyOneShotsAndSecondBatchIsAllCacheHits) {
+TEST(EngineApi, WarmBatchesMatchFreshEnginesAndSecondBatchIsAllCacheHits) {
   const std::vector<JobSpec> jobs = mixed_batch();
-  BatchOptions legacy_options;
-  legacy_options.workers = 2;
-  legacy_options.seed = 123;
-  const std::string legacy_first = jsonl(run_batch(jobs, legacy_options));
-  const std::string legacy_second = jsonl(run_batch(jobs, legacy_options));
-  EXPECT_EQ(legacy_first, legacy_second);
-
   EngineConfig config;
   config.threads = 2;
   config.seed = 123;
+  // The reference: each batch on its own fresh, cold engine.
+  const auto fresh_run = [&] {
+    Engine fresh(config);
+    return jsonl(fresh.run_collect(jobs));
+  };
+  const std::string fresh_first = fresh_run();
+  const std::string fresh_second = fresh_run();
+  EXPECT_EQ(fresh_first, fresh_second);
+
   Engine engine(config);
-  EXPECT_EQ(jsonl(engine.run_collect(jobs)), legacy_first);
+  EXPECT_EQ(jsonl(engine.run_collect(jobs)), fresh_first);
   const Engine::Stats after_first = engine.stats();
   EXPECT_EQ(after_first.jobs_run, jobs.size());
   EXPECT_EQ(after_first.jobs_failed, 0u);
@@ -75,7 +76,7 @@ TEST(EngineApi, WarmBatchesMatchLegacyOneShotsAndSecondBatchIsAllCacheHits) {
 
   // The warm engine: same jobs, same derived per-index seeds, so every
   // graph — the unpinned randomized ones included — is already resident.
-  EXPECT_EQ(jsonl(engine.run_collect(jobs)), legacy_first);
+  EXPECT_EQ(jsonl(engine.run_collect(jobs)), fresh_first);
   const Engine::Stats after_second = engine.stats();
   EXPECT_EQ(after_second.cold_builds, after_first.cold_builds)
       << "second batch on a warm engine must perform zero cold graph builds";
@@ -88,7 +89,7 @@ TEST(EngineApi, WarmBatchesMatchLegacyOneShotsAndSecondBatchIsAllCacheHits) {
     streamed += '\n';
   });
   EXPECT_EQ(failed, 0u);
-  EXPECT_EQ(streamed, legacy_first);
+  EXPECT_EQ(streamed, fresh_first);
 }
 
 TEST(EngineApi, ThreadsAutoDetectAndEmptyBatches) {
@@ -209,6 +210,67 @@ TEST(EngineApi, ThrowingCallbackIsContainedNotFatal) {
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(engine.metrics().counter_total("worker", "callback_errors"), 1u);
   EXPECT_EQ(engine.metrics().counter_total("worker", "jobs_run"), 2u);
+
+  // The batch path shares the boundary: a run() sink that throws on every
+  // record is counted once per throw, still sees each record exactly once
+  // in index order, run() returns, and the same worker runs the next job.
+  const std::vector<JobSpec> batch(3, job);
+  std::vector<std::size_t> seen;
+  EXPECT_EQ(engine.run(batch,
+                       [&](const JobResult& result) {
+                         seen.push_back(result.index);
+                         throw std::runtime_error("sink exploded");
+                       }),
+            0u);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(engine.metrics().counter_total("worker", "callback_errors"),
+            1u + batch.size());
+
+  const JobResult after = engine.submit(job).get();
+  EXPECT_TRUE(after.ok) << after.error;
+  EXPECT_EQ(engine.metrics().counter_total("worker", "jobs_run"), 3u + batch.size());
+}
+
+TEST(EngineApi, SliceCountersAreExactAfterEveryBlockingCall) {
+  // The per-kind jobs_run_* and per-ErrorKind jobs_failed_* slices are
+  // flushed lazily, by different rules on the submit and batch paths; both
+  // rules must leave them summing exactly to their totals by the time any
+  // blocking call returns.
+  EngineConfig config;
+  config.threads = 2;
+  Engine engine(config);
+  const JobSpec good = parse_job_spec_line("input=gen:cycle:n=64 algo=greedy");
+  const JobSpec bad = parse_job_spec_line("input=gen:cycle:n=64 algo=nope");
+  const JobSpec analyze = parse_job_spec_line("input=gen:er:n=64 kind=analyze algo=sprank");
+
+  const auto expect_exact = [&](const char* after, std::uint64_t run,
+                                std::uint64_t failed) {
+    const obs::Snapshot snap = engine.metrics();
+    std::uint64_t run_slices = 0;
+    for (const char* name :
+         {"jobs_run_match", "jobs_run_undirected_match", "jobs_run_analyze"})
+      run_slices += snap.counter_total("worker", name);
+    std::uint64_t failed_slices = 0;
+    for (const char* name : {"jobs_failed_parse", "jobs_failed_source_io",
+                             "jobs_failed_store_io", "jobs_failed_build",
+                             "jobs_failed_exec", "jobs_failed_timeout"})
+      failed_slices += snap.counter_total("worker", name);
+    EXPECT_EQ(snap.counter_total("worker", "jobs_run"), run) << after;
+    EXPECT_EQ(snap.counter_total("worker", "jobs_failed"), failed) << after;
+    EXPECT_EQ(run_slices, run) << after;
+    EXPECT_EQ(failed_slices, failed) << after;
+  };
+
+  EXPECT_TRUE(engine.submit(good).get().ok);
+  expect_exact("submit", 1, 0);
+  EXPECT_EQ(engine.run_collect({good, bad, analyze}).size(), 3u);
+  expect_exact("run_collect with a failing job", 4, 1);
+  EXPECT_FALSE(engine.submit(bad).get().ok);
+  expect_exact("failing submit", 5, 2);
+  EXPECT_TRUE(engine.submit(analyze).get().ok);
+  expect_exact("submit after failure", 6, 2);
+  EXPECT_EQ(engine.run_collect({analyze, good}).size(), 2u);
+  expect_exact("run_collect", 8, 2);
 }
 
 TEST(EngineApi, PendingSubmitsSurviveUntilDestruction) {

@@ -335,10 +335,10 @@ TEST(WorkspaceHotPath, SprankAnalysisSteadyStateIsAllocationFree) {
   EXPECT_TRUE(out.exact);
 }
 
-// ---------------------------------------------- batch runner reuse -------
+// ---------------------------------------------------- engine reuse -------
 
-std::string batch_jsonl(const std::vector<JobSpec>& jobs, const BatchOptions& options) {
-  const std::vector<JobResult> results = run_batch(jobs, options);
+std::string batch_jsonl(const std::vector<JobSpec>& jobs, const EngineConfig& config) {
+  const std::vector<JobResult> results = Engine(config).run_collect(jobs);
   std::string out;
   for (const JobResult& r : results) {
     EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
@@ -356,14 +356,14 @@ TEST(WorkspaceHotPath, BatchRerunIsByteIdenticalWithZeroAllocatorGrowth) {
       "input=gen:mesh:nx=24 algo=one_sided augment=1\n"
       "input=gen:planted:n=512 algo=hopcroft_karp\n");
   const std::vector<JobSpec> jobs = parse_job_specs(in);
-  BatchOptions options;
-  options.workers = 2;
-  options.seed = 99;
+  EngineConfig config;
+  config.threads = 2;
+  config.seed = 99;
 
-  const std::string warm = batch_jsonl(jobs, options);  // warms everything once
+  const std::string warm = batch_jsonl(jobs, config);  // warms everything once
   const bench::AllocStats before = bench::alloc_stats();
   {
-    const std::string second = batch_jsonl(jobs, options);
+    const std::string second = batch_jsonl(jobs, config);
     EXPECT_EQ(second, warm);
   }
   const bench::AllocStats after = bench::alloc_stats();
