@@ -90,6 +90,17 @@ const MatchingAlgorithm& resolve_algorithm(Workspace& ws, const PipelineConfig& 
   return *cache.algorithm;
 }
 
+/// sprank(g), solved at most once per graph object: the memo on `g` is read
+/// first, and a miss runs the exact kernel and stores its answer there.
+vid_t memoized_sprank_ws(const BipartiteGraph& g, Workspace& ws) {
+  vid_t rank = g.known_sprank();
+  if (rank == kNil) {
+    rank = sprank_ws(g, ws);
+    g.remember_sprank(rank);
+  }
+  return rank;
+}
+
 void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
                    const MatchingAlgorithm& algorithm, Workspace& ws,
                    PipelineResult& out) {
@@ -139,8 +150,10 @@ void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
   timed_stage(out, config, "analyze", [&] {
     out.valid = is_valid_matching(g, out.matching);
     if (config.compute_quality) {
-      // An exact pipeline already knows the optimum: |M| = sprank.
-      out.sprank = out.exact ? out.cardinality : sprank_ws(g, ws);
+      // An exact pipeline already knows the optimum: |M| = sprank. It leaves
+      // the memo alone, because a user-registered algorithm can claim
+      // is_exact() wrongly and later jobs on this graph trust the memo.
+      out.sprank = out.exact ? out.cardinality : memoized_sprank_ws(g, ws);
       out.quality = matching_quality(out.matching, out.sprank);
     }
   });
@@ -235,11 +248,12 @@ void run_analyze_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& conf
 
   timed_stage(out, config, "analyze", [&] {
     if (type == "sprank") {
-      out.sprank = sprank_ws(g, ws);
+      out.sprank = memoized_sprank_ws(g, ws);
       out.exact = true;
       out.valid = true;
     } else if (type == "dm") {
       const DmDecomposition dm = dulmage_mendelsohn(g);
+      g.remember_sprank(dm.sprank);
       out.sprank = dm.sprank;
       out.cardinality = dm.sprank;
       out.heuristic_cardinality = dm.sprank;
@@ -259,6 +273,7 @@ void run_analyze_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& conf
       out.cardinality = m.cardinality();
       out.heuristic_cardinality = out.cardinality;
       out.sprank = out.cardinality;
+      g.remember_sprank(out.sprank);
       const VertexCover cover = koenig_cover(g, m);
       out.extras.cover_size = cover.size();
       out.extras.cover_valid = is_vertex_cover(g, cover);

@@ -13,8 +13,11 @@
 ///   augment  optional Hopcroft-Karp completion to the maximum (the paper's
 ///            jump-start application: the heuristic initializes the exact
 ///            solver)
-///   analyze  validity check and |M| / sprank quality (sprank reuses the
-///            known optimum when the pipeline already ended exact)
+///   analyze  validity check and |M| / sprank quality. sprank is solved
+///            once per graph object and memoized on it (see
+///            BipartiteGraph::known_sprank), so a cached graph shared by
+///            many jobs pays for one exact solve; a pipeline that ended
+///            exact reports its own cardinality instead.
 
 #include <cstdint>
 #include <stdexcept>
@@ -63,8 +66,8 @@ struct PipelineConfig {
   int scaling_iterations = 5;
   double scaling_tolerance = 0.0;  ///< 0 = run exactly scaling_iterations
   bool augment = false;    ///< complete to maximum with Hopcroft-Karp
-  bool compute_quality = true;  ///< compute sprank (an extra exact solve
-                                ///< unless the pipeline ended exact)
+  bool compute_quality = true;  ///< compute sprank (solved once per graph
+                                ///< object, then read from its memo)
   /// Absolute steady_now_ns() deadline; 0 = none. Checked on entry to every
   /// stage — JobTimeoutError when already past.
   std::int64_t deadline_ns = 0;
@@ -162,7 +165,9 @@ void run_undirected_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& c
 ///   dm      coarse + fine Dulmage–Mendelsohn: sprank, block sizes,
 ///           total-support / full-indecomposability flags (out.extras)
 ///   koenig  maximum matching + König minimum vertex cover certificate
-///   sprank  structural rank alone (the cheapest exact probe)
+///   sprank  structural rank alone (the cheapest exact probe; read from
+///           the graph's memo when a previous job already solved it)
+/// All three store the exact rank in the graph's sprank memo.
 /// Unknown types throw std::invalid_argument before any work. Runs a single
 /// "analyze" stage; sprank is workspace-leased end to end, while dm/koenig
 /// build their decomposition structures afresh per call (they are not on

@@ -103,14 +103,16 @@ BipartiteGraph::BipartiteGraph(vid_t num_rows, vid_t num_cols,
 BipartiteGraph::BipartiteGraph(const BipartiteGraph& other)
     : num_rows_(other.num_rows_),
       num_cols_(other.num_cols_),
-      storage_(other.storage_) {
+      storage_(other.storage_),
+      sprank_memo_(other.known_sprank()) {
   rebind_views();
 }
 
 BipartiteGraph::BipartiteGraph(BipartiteGraph&& other) noexcept
     : num_rows_(other.num_rows_),
       num_cols_(other.num_cols_),
-      storage_(std::move(other.storage_)) {
+      storage_(std::move(other.storage_)),
+      sprank_memo_(other.known_sprank()) {
   rebind_views();
   // Leave the source a valid empty graph rather than with dangling views
   // (vectors empty, exactly like a moved-from vector member used to be;
@@ -119,6 +121,7 @@ BipartiteGraph::BipartiteGraph(BipartiteGraph&& other) noexcept
   other.num_cols_ = 0;
   other.storage_.emplace<OwnedStorage>();
   other.rebind_views();
+  other.remember_sprank(kNil);
 }
 
 BipartiteGraph& BipartiteGraph::operator=(const BipartiteGraph& other) {
@@ -127,6 +130,7 @@ BipartiteGraph& BipartiteGraph::operator=(const BipartiteGraph& other) {
     num_cols_ = other.num_cols_;
     storage_ = other.storage_;
     rebind_views();
+    remember_sprank(other.known_sprank());
   }
   return *this;
 }
@@ -137,10 +141,12 @@ BipartiteGraph& BipartiteGraph::operator=(BipartiteGraph&& other) noexcept {
     num_cols_ = other.num_cols_;
     storage_ = std::move(other.storage_);
     rebind_views();
+    remember_sprank(other.known_sprank());
     other.num_rows_ = 0;
     other.num_cols_ = 0;
     other.storage_.emplace<OwnedStorage>();
     other.rebind_views();
+    other.remember_sprank(kNil);
   }
   return *this;
 }
@@ -167,6 +173,7 @@ void BipartiteGraph::assign_csr(vid_t num_rows, vid_t num_cols,
   col_idx_ = {};
   col_ptr_ = {};
   row_idx_ = {};
+  remember_sprank(kNil);  // new edges, unknown rank (pooled graphs are reused)
   if (!owns_storage()) {
     // The input spans may alias this graph's own mapped storage (the
     // natural g.assign_csr(..., g.row_ptr(), g.col_idx()) conversion

@@ -12,7 +12,11 @@
 ///
 /// The structure is immutable after construction; all algorithms treat it as
 /// read-only shared state, which is what makes the OpenMP parallelism in
-/// this library race-free by construction.
+/// this library race-free by construction. The one exception is a memo of
+/// the graph's structural rank (`known_sprank` / `remember_sprank`): an
+/// atomic slot a const graph may fill once its exact optimum is known, so a
+/// graph shared by many jobs is solved at most once. Filling it changes no
+/// edge and no view of the edges.
 ///
 /// Storage is pluggable: the four CSR/CSC arrays are `std::span` views over
 /// either heap vectors owned by the graph (every constructed or assigned
@@ -24,6 +28,7 @@
 /// operations (`assign_csr`) convert an externally backed graph to owned
 /// storage first, so the immutable mapped bytes are never written.
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -84,7 +89,8 @@ public:
   /// drives this). Input requirements match the constructor; the spans are
   /// validated *before* any member is touched, so on throw the graph is
   /// unchanged. The derived CSC view is identical to the constructor's. An
-  /// externally backed graph switches to (fresh) owned storage.
+  /// externally backed graph switches to (fresh) owned storage. The sprank
+  /// memo is cleared, since the new edges may have a different rank.
   void assign_csr(vid_t num_rows, vid_t num_cols,
                   std::span<const eid_t> row_ptr, std::span<const vid_t> col_idx);
 
@@ -132,6 +138,21 @@ public:
     return std::holds_alternative<OwnedStorage>(storage_);
   }
 
+  /// The memoized structural rank, or kNil while unknown. A fresh, loaded
+  /// or reassigned graph reads kNil; copies and moves carry the memo along.
+  [[nodiscard]] vid_t known_sprank() const noexcept {
+    // Relaxed: the slot publishes no other data, and every writer stores
+    // the same deterministic value, so any value read is the right one.
+    return sprank_memo_.load(std::memory_order_relaxed);
+  }
+
+  /// Records `sprank` as this graph's structural rank. Only exact library
+  /// solvers may call this: every later reader trusts the value. Concurrent
+  /// writers store the same value, so the race is benign.
+  void remember_sprank(vid_t sprank) const noexcept {
+    sprank_memo_.store(sprank, std::memory_order_relaxed);
+  }
+
   /// True iff edge (i, j) exists. O(deg) scan; intended for tests/examples.
   [[nodiscard]] bool has_edge(vid_t i, vid_t j) const noexcept;
 
@@ -172,6 +193,7 @@ private:
   std::span<const vid_t> col_idx_;
   std::span<const eid_t> col_ptr_;
   std::span<const vid_t> row_idx_;
+  mutable std::atomic<vid_t> sprank_memo_{kNil};
 };
 
 } // namespace bmh

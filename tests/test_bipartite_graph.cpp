@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/serialize.hpp"
 #include "test_helpers.hpp"
 
 namespace bmh {
@@ -112,6 +116,89 @@ TEST(BipartiteGraph, CscRowIndicesAreSortedPerColumn) {
     const auto nbrs = g.col_neighbors(j);
     EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end())) << "column " << j;
   }
+}
+
+// ------------------------------------------------------------ sprank memo ---
+
+TEST(BipartiteGraphSprankMemo, FreshAndMappedGraphsAreUnknown) {
+  EXPECT_EQ(BipartiteGraph().known_sprank(), kNil);
+  const BipartiteGraph g = make_erdos_renyi(50, 50, 200, 3);
+  EXPECT_EQ(g.known_sprank(), kNil);
+
+  // A graph loaded from a store file is a fresh object, even when the graph
+  // it was saved from had its memo filled.
+  g.remember_sprank(49);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("bmh_graph_memo_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + ".bmhg");
+  save_graph(g, path.string());
+  const BipartiteGraph mapped = load_graph_mapped(path.string());
+  std::filesystem::remove(path);
+  EXPECT_FALSE(mapped.owns_storage());
+  EXPECT_EQ(mapped.known_sprank(), kNil);
+}
+
+TEST(BipartiteGraphSprankMemo, RememberedValueReadsBack) {
+  const BipartiteGraph g = graph_from_rows(3, 3, {{0, 1}, {1}, {1}});
+  g.remember_sprank(2);
+  EXPECT_EQ(g.known_sprank(), 2);
+  g.remember_sprank(kNil);
+  EXPECT_EQ(g.known_sprank(), kNil);
+}
+
+TEST(BipartiteGraphSprankMemo, CopiesAndMovesCarryTheMemo) {
+  BipartiteGraph source = make_erdos_renyi(30, 30, 120, 5);
+  source.remember_sprank(27);
+
+  const BipartiteGraph copied(source);
+  EXPECT_EQ(copied.known_sprank(), 27);
+  EXPECT_EQ(source.known_sprank(), 27);
+
+  BipartiteGraph copy_assigned;
+  copy_assigned = source;
+  EXPECT_EQ(copy_assigned.known_sprank(), 27);
+  EXPECT_EQ(source.known_sprank(), 27);
+
+  // A moved-from graph is a valid empty graph, so its rank is unknown.
+  BipartiteGraph moved(std::move(source));
+  EXPECT_EQ(moved.known_sprank(), 27);
+  EXPECT_EQ(source.known_sprank(), kNil);
+
+  BipartiteGraph move_assigned = graph_from_rows(1, 1, {{0}});
+  move_assigned.remember_sprank(1);
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.known_sprank(), 27);
+  EXPECT_EQ(moved.known_sprank(), kNil);
+
+  // Assigning a graph whose rank is unknown clears the target's memo.
+  const BipartiteGraph unknown = make_erdos_renyi(10, 10, 30, 1);
+  move_assigned = unknown;
+  EXPECT_EQ(move_assigned.known_sprank(), kNil);
+}
+
+TEST(BipartiteGraphSprankMemo, AssignCsrClearsTheMemo) {
+  BipartiteGraph g = graph_from_rows(2, 2, {{0}, {1}});
+  g.remember_sprank(2);
+  // Same shape, different edges: rank 1, so a stale memo would lie.
+  const std::vector<eid_t> row_ptr{0, 1, 2};
+  const std::vector<vid_t> col_idx{0, 0};
+  g.assign_csr(2, 2, row_ptr, col_idx);
+  EXPECT_EQ(g.known_sprank(), kNil);
+
+  // A rejected reassignment leaves the graph, memo included, unchanged.
+  g.remember_sprank(1);
+  const std::vector<vid_t> bad_idx{0, 7};
+  EXPECT_THROW(g.assign_csr(2, 2, row_ptr, bad_idx), std::invalid_argument);
+  EXPECT_EQ(g.known_sprank(), 1);
+
+  // The pooled rebuild path clears it too.
+  GraphBuilder builder(3, 3);
+  builder.add_edge(0, 0);
+  builder.add_edge(1, 1);
+  builder.build_into(g);
+  EXPECT_EQ(g.num_rows(), 3);
+  EXPECT_EQ(g.known_sprank(), kNil);
 }
 
 } // namespace

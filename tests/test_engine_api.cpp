@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -325,7 +326,10 @@ TEST(EngineApi, DestructorDrainObservesBlockedInFlightSubmit) {
     delivered.fetch_add(1, std::memory_order_relaxed);
   };
   for (int i = 0; i < 4; ++i) engine->submit(job, count);  // ring now full
-  std::thread blocked_producer([&] { engine->submit(job, count); });
+  // A plain pointer, as in the multi-producer variant below: a producer
+  // scheduled late must not dereference the optional reset() disengages.
+  Engine* const live_engine = &*engine;
+  std::thread blocked_producer([&] { live_engine->submit(job, count); });
   // Give the producer time to block on capacity, then begin destruction
   // while it is still inside submit().
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -373,11 +377,15 @@ TEST(EngineApiStress, DestructorDrainRacesManyBlockedProducers) {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return workers_parked == 2; });
   }
+  // Producers hold a plain pointer: reset() disengages the optional before
+  // the destructor's drain finishes, so `engine->` from a producer still
+  // blocked in submit() would dereference an empty optional.
+  Engine* const live_engine = &*engine;
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p)
     producers.emplace_back([&] {
       for (int i = 0; i < kPerProducer; ++i)
-        engine->submit(job, [&delivered](JobResult&&) {
+        live_engine->submit(job, [&delivered](JobResult&&) {
           delivered.fetch_add(1, std::memory_order_relaxed);
         });
     });
@@ -441,6 +449,121 @@ TEST(EngineApiStress, ConcurrentSubmitsAreDeterministic) {
   EXPECT_EQ(stats.jobs_failed, 0u);
   // One pinned instance: exactly one cold build, everything else cache hits.
   EXPECT_EQ(stats.cold_builds, 1u);
+}
+
+// ---------------------------------------------------------- sprank memo ---
+
+TEST(EngineSprankMemo, QualityJobFillsTheCachedGraphsMemo) {
+  EngineConfig config;
+  config.threads = 1;
+  Engine engine(config);
+  const JobSpec job =
+      parse_job_spec_line("input=gen:er:n=512,deg=4,seed=3 algo=two_sided quality=1");
+  const JobResult r = engine.run_collect({job})[0];
+  ASSERT_TRUE(r.ok) << r.error;
+  const std::shared_ptr<const BipartiteGraph> graph =
+      engine.cache()->get_or_build(job.input, r.seed);
+  EXPECT_EQ(graph->known_sprank(), r.result.sprank);
+  EXPECT_EQ(r.result.sprank, sprank(*graph));
+}
+
+TEST(EngineSprankMemo, RepeatedJobsMatchAnUncachedEngine) {
+  // One pinned instance, three jobs per heuristic: the first solves sprank,
+  // the other eight read it from the cached graph.
+  std::istringstream spec(
+      "input=gen:er:n=512,deg=4,seed=3 algo=two_sided iters=5\n"
+      "input=gen:er:n=512,deg=4,seed=3 algo=one_sided iters=5\n"
+      "input=gen:er:n=512,deg=4,seed=3 algo=karp_sipser\n"
+      "input=gen:er:n=512,deg=4,seed=3 algo=two_sided iters=5\n"
+      "input=gen:er:n=512,deg=4,seed=3 algo=one_sided iters=5\n"
+      "input=gen:er:n=512,deg=4,seed=3 algo=karp_sipser\n"
+      "input=gen:er:n=512,deg=4,seed=3 algo=two_sided iters=5\n"
+      "input=gen:er:n=512,deg=4,seed=3 algo=one_sided iters=5\n"
+      "input=gen:er:n=512,deg=4,seed=3 algo=karp_sipser\n");
+  const std::vector<JobSpec> jobs = parse_job_specs(spec);
+  EngineConfig config;
+  config.threads = 2;
+  config.seed = 17;
+  EngineConfig uncached = config;
+  uncached.graph_cache_mb = 0;
+
+  Engine reference(uncached);
+  Engine engine(config);
+  EXPECT_EQ(jsonl(engine.run_collect(jobs)), jsonl(reference.run_collect(jobs)));
+  // Both workers may miss the cold key once; every other job is a hit.
+  EXPECT_GE(engine.stats().cache.hits, jobs.size() - 2);
+  // The spec pins its own seed, so any job seed addresses the same entry.
+  EXPECT_NE(engine.cache()->get_or_build(jobs[0].input, 0)->known_sprank(), kNil);
+}
+
+/// Claims to be exact but returns a one-edge matching: the kind of custom
+/// algorithm whose record must not leak into later jobs' sprank.
+class FalselyExact final : public MatchingAlgorithm {
+public:
+  [[nodiscard]] const std::string& name() const noexcept override {
+    static const std::string n = "test_falsely_exact";
+    return n;
+  }
+  [[nodiscard]] bool is_exact() const noexcept override { return true; }
+  [[nodiscard]] Matching run(const BipartiteGraph& g,
+                             const ScalingResult&) const override {
+    Matching m(g.num_rows(), g.num_cols());
+    for (vid_t i = 0; i < g.num_rows(); ++i)
+      if (!g.row_neighbors(i).empty()) {
+        m.match(i, g.row_neighbors(i).front());
+        break;
+      }
+    return m;
+  }
+};
+
+TEST(EngineSprankMemo, FalseExactClaimDoesNotChangeLaterSprank) {
+  if (!AlgorithmRegistry::instance().contains("test_falsely_exact"))
+    AlgorithmRegistry::instance().register_algorithm(
+        "test_falsely_exact",
+        [](const AlgorithmOptions&) { return std::make_unique<FalselyExact>(); });
+  EngineConfig config;
+  config.threads = 1;
+  Engine engine(config);
+  const std::string input = "input=gen:er:n=512,deg=4,seed=3 ";
+  const JobResult liar =
+      engine.run_collect({parse_job_spec_line(input + "algo=test_falsely_exact")})[0];
+  ASSERT_TRUE(liar.ok) << liar.error;
+  EXPECT_EQ(liar.result.sprank, 1);  // its own claim, reported as before
+
+  const JobSpec honest_job = parse_job_spec_line(input + "algo=two_sided");
+  const JobResult honest = engine.run_collect({honest_job})[0];
+  ASSERT_TRUE(honest.ok) << honest.error;
+  const vid_t truth = sprank(*engine.cache()->get_or_build(honest_job.input, honest.seed));
+  EXPECT_GT(truth, 1);
+  EXPECT_EQ(honest.result.sprank, truth);
+}
+
+// The TSan CI job runs this: the first jobs on a cold graph race to fill its
+// memo, through both the match quality check and the analyze pipelines.
+TEST(EngineSprankMemo, WorkersRacingOnAColdGraphAgreeOnSprank) {
+  std::istringstream spec(
+      "input=gen:er:n=1024,deg=4,seed=5 algo=two_sided\n"
+      "input=gen:er:n=1024,deg=4,seed=5 algo=one_sided\n"
+      "input=gen:er:n=1024,deg=4,seed=5 kind=analyze algo=sprank\n"
+      "input=gen:er:n=1024,deg=4,seed=5 kind=analyze algo=koenig\n"
+      "input=gen:er:n=1024,deg=4,seed=5 algo=karp_sipser\n"
+      "input=gen:er:n=1024,deg=4,seed=5 algo=two_sided\n"
+      "input=gen:er:n=1024,deg=4,seed=5 kind=analyze algo=dm\n"
+      "input=gen:er:n=1024,deg=4,seed=5 algo=one_sided\n");
+  const std::vector<JobSpec> jobs = parse_job_specs(spec);
+  EngineConfig config;
+  config.threads = 4;
+  Engine engine(config);
+  const std::vector<JobResult> results = engine.run_collect(jobs);
+  const std::shared_ptr<const BipartiteGraph> graph =
+      engine.cache()->get_or_build(jobs[0].input, results[0].seed);
+  const vid_t truth = sprank(*graph);
+  for (const JobResult& r : results) {
+    ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
+    EXPECT_EQ(r.result.sprank, truth) << r.algorithm;
+  }
+  EXPECT_EQ(graph->known_sprank(), truth);
 }
 
 // ---------------------------------------------------------------- serve ---
