@@ -56,14 +56,11 @@ int main() {
           iters > 0 ? scale_sinkhorn_knopp(g, {iters, 0.0}) : identity_scaling(g);
       vid_t one_worst = g.num_rows(), two_worst = g.num_rows();
       for (int r = 0; r < runs; ++r) {
-        // Both heuristics come from the engine registry; the scaling is
-        // computed once above and shared across algorithms and repetitions.
-        AlgorithmOptions options;
-        options.seed = static_cast<std::uint64_t>(r);
-        one_worst = std::min(one_worst,
-                             make_algorithm("one_sided", options)->run(g, s).cardinality());
-        two_worst = std::min(two_worst,
-                             make_algorithm("two_sided", options)->run(g, s).cardinality());
+        // The scaling is computed once above and shared across both
+        // heuristics and all repetitions.
+        const auto seed = static_cast<std::uint64_t>(r);
+        one_worst = std::min(one_worst, one_sided_from_scaling(g, s, seed).cardinality());
+        two_worst = std::min(two_worst, two_sided_from_scaling(g, s, seed).cardinality());
       }
       // All population members have a perfect matching: sprank = n.
       const double q_one =

@@ -41,7 +41,7 @@ PipelineConfig serving_config() {
   config.scaling_iterations = 5;
   config.options.seed = 7;
   config.options.threads = 1;     // one OpenMP lane per worker: jobs are the
-                                  // parallelism, as in the batch runner
+                                  // parallelism, as in the engine
   config.compute_quality = false; // serving mode: no exact solve per request
   return config;
 }
@@ -179,7 +179,7 @@ int main() {
   const auto [cold_best, warm_best] = sweep_throughput(graphs, jobs, "n=main");
 
   // Small-graph sweep: fixed per-job overheads (allocation among them) are
-  // a larger share of tiny jobs, the regime the batch runner serves.
+  // a larger share of tiny jobs, the regime the engine serves.
   std::vector<BipartiteGraph> small_graphs;
   for (std::uint64_t s = 0; s < 16; ++s)
     small_graphs.push_back(make_erdos_renyi(128, 128, 8LL * 128, 2000 + s));

@@ -227,11 +227,11 @@ int main(int argc, char** argv) {
       // sorted within — a stable, grep-friendly introspection surface.
       for (const std::string& name : bmh::job_kind_names())
         std::cout << "kind " << name << '\n';
-      for (const std::string& scheme : bmh::registered_graph_source_schemes())
+      for (const std::string& scheme : bmh::graph_sources().names())
         std::cout << "source " << scheme << '\n';
-      for (const std::string& name : bmh::registered_algorithm_names())
+      for (const std::string& name : bmh::matching_algorithms().names())
         std::cout << "algorithm " << name << '\n';
-      for (const std::string& name : bmh::registered_undirected_algorithm_names())
+      for (const std::string& name : bmh::undirected_algorithms().names())
         std::cout << "undirected " << name << '\n';
       for (const std::string& name : bmh::analysis_type_names())
         std::cout << "analysis " << name << '\n';

@@ -17,8 +17,8 @@
 ///   ScalingResult& scaling = ws.obj<ScalingResult>("p.scaling"); // object
 ///
 /// Rules:
-///  * A Workspace is single-threaded. Use one per worker thread (the batch
-///    runner does) or the per-thread default behind `for_this_thread()`.
+///  * A Workspace is single-threaded. Use one per worker thread (the engine's
+///    workers do) or the per-thread default behind `for_this_thread()`.
 ///    Leased buffers may be *filled* by OpenMP parallel regions; only the
 ///    lease itself must happen on the owning thread.
 ///  * Tags are namespaced per call site ("hk.dist", "ks.pool", ...). A tag

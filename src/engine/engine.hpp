@@ -11,7 +11,6 @@
 /// multi-backend feature plugs in here rather than into the algorithm
 /// implementations.
 
-#include "engine/algorithm.hpp"
 #include "engine/engine_api.hpp"
 #include "engine/graph_cache.hpp"
 #include "engine/graph_store.hpp"

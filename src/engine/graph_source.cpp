@@ -105,11 +105,6 @@ BipartiteGraph read_matrix_source_file(const std::string& path) {
 
 class GenSource final : public GraphSource {
 public:
-  [[nodiscard]] const std::string& scheme() const noexcept override {
-    static const std::string kScheme = "gen";
-    return kScheme;
-  }
-
   void parse(const std::string& rest, GraphSpec& out) const override {
     parse_name_and_params(rest, out);
   }
@@ -208,11 +203,6 @@ public:
 
 class SuiteSource final : public GraphSource {
 public:
-  [[nodiscard]] const std::string& scheme() const noexcept override {
-    static const std::string kScheme = "suite";
-    return kScheme;
-  }
-
   void parse(const std::string& rest, GraphSpec& out) const override {
     parse_name_and_params(rest, out);
   }
@@ -236,11 +226,6 @@ public:
 /// a new cache key and an edited one silently serves stale store entries).
 class MtxSource final : public GraphSource {
 public:
-  [[nodiscard]] const std::string& scheme() const noexcept override {
-    static const std::string kScheme = "mtx";
-    return kScheme;
-  }
-
   void parse(const std::string& rest, GraphSpec& out) const override {
     if (rest.empty())
       throw std::invalid_argument("graph spec '" + out.spec + "': empty mtx path");
@@ -267,11 +252,6 @@ public:
 /// (path, mtime, size): a warm resolve is one stat() plus a map lookup.
 class MmSource final : public GraphSource {
 public:
-  [[nodiscard]] const std::string& scheme() const noexcept override {
-    static const std::string kScheme = "mm";
-    return kScheme;
-  }
-
   void parse(const std::string& rest, GraphSpec& out) const override {
     constexpr std::string_view kPrefix = "path=";
     if (rest.rfind(kPrefix, 0) != 0 || rest.size() == kPrefix.size())
@@ -360,78 +340,16 @@ private:
 
 } // namespace
 
-struct GraphSourceRegistry::Impl {
-  using Map = std::map<std::string, std::shared_ptr<const GraphSource>, std::less<>>;
-  mutable Mutex mutex;
-  /// Copy-on-register snapshot: readers copy the shared_ptr under the lock
-  /// and walk their snapshot lock-free; the sources themselves are shared
-  /// between snapshots and never destroyed, so returned raw pointers stay
-  /// valid for the process lifetime.
-  std::shared_ptr<const Map> snapshot BMH_GUARDED_BY(mutex) = std::make_shared<Map>();
-};
-
-GraphSourceRegistry::GraphSourceRegistry() : impl_(std::make_shared<Impl>()) {
-  register_source(std::make_shared<GenSource>());
-  register_source(std::make_shared<SuiteSource>());
-  register_source(std::make_shared<MtxSource>());
-  register_source(std::make_shared<MmSource>());
-}
-
-GraphSourceRegistry& GraphSourceRegistry::instance() {
-  static GraphSourceRegistry registry;
+NamedRegistry<GraphSource>& graph_sources() {
+  static NamedRegistry<GraphSource> registry(
+      [](auto& r) {
+        r.add("gen", std::make_shared<GenSource>());
+        r.add("suite", std::make_shared<SuiteSource>());
+        r.add("mtx", std::make_shared<MtxSource>());
+        r.add("mm", std::make_shared<MmSource>());
+      },
+      ":");
   return registry;
-}
-
-void GraphSourceRegistry::register_source(std::shared_ptr<const GraphSource> source) {
-  if (source == nullptr)
-    throw std::invalid_argument("register_source: null source");
-  const std::string& scheme = source->scheme();
-  if (scheme.empty() || scheme.find(':') != std::string::npos)
-    throw std::invalid_argument("register_source: invalid scheme '" + scheme + "'");
-  LockGuard lock(impl_->mutex);
-  auto next = std::make_shared<Impl::Map>(*impl_->snapshot);
-  if (!next->emplace(scheme, std::move(source)).second)
-    throw std::invalid_argument("register_source: scheme '" + scheme +
-                                "' is already registered");
-  impl_->snapshot = std::move(next);
-}
-
-const GraphSource* GraphSourceRegistry::find(std::string_view scheme) const {
-  std::shared_ptr<const Impl::Map> map;
-  {
-    LockGuard lock(impl_->mutex);
-    map = impl_->snapshot;
-  }
-  const auto it = map->find(scheme);
-  return it == map->end() ? nullptr : it->second.get();
-}
-
-const GraphSource& GraphSourceRegistry::at(std::string_view scheme,
-                                           const std::string& spec_text) const {
-  if (const GraphSource* source = find(scheme)) return *source;
-  std::string known;
-  for (const std::string& s : schemes()) {
-    if (!known.empty()) known += '|';
-    known += s;
-  }
-  throw std::invalid_argument("graph spec '" + spec_text + "': unknown scheme '" +
-                              std::string(scheme) + "' (" + known + ")");
-}
-
-std::vector<std::string> GraphSourceRegistry::schemes() const {
-  std::shared_ptr<const Impl::Map> map;
-  {
-    LockGuard lock(impl_->mutex);
-    map = impl_->snapshot;
-  }
-  std::vector<std::string> out;
-  out.reserve(map->size());
-  for (const auto& [scheme, source] : *map) out.push_back(scheme);
-  return out;  // std::map iterates sorted
-}
-
-std::vector<std::string> registered_graph_source_schemes() {
-  return GraphSourceRegistry::instance().schemes();
 }
 
 } // namespace bmh

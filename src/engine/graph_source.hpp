@@ -1,13 +1,13 @@
 #pragma once
 /// \file graph_source.hpp
-/// \brief Pluggable graph sources: the scheme registry behind `input=` specs.
+/// \brief Pluggable graph sources: the formats behind `input=` specs.
 ///
-/// A graph spec is `SCHEME:REST`; the scheme selects a GraphSource that owns
-/// parsing, canonical keying and materialization for that family. PRs 1-6
-/// hard-wired three schemes (`gen:`, `suite:`, `mtx:`) into one switch in
-/// job.cpp; this registry replaces the switch so new sources — Matrix
-/// Market by content hash (`mm:`), future network or database fetchers —
-/// plug in without touching the parser, the cache or the store. Built-ins:
+/// A graph spec is `SCHEME:REST`; the scheme names a GraphSource registered
+/// in graph_sources() (a NamedRegistry, registry.hpp), which owns parsing,
+/// canonical keying and materialization for that family. New sources —
+/// future network or database fetchers — plug in with
+/// graph_sources().add(scheme, source) without touching the parser, the
+/// cache or the store. A scheme may not contain ':'. Built-ins:
 ///
 ///   gen:NAME:key=val,...   generator from graph/generators.hpp
 ///   suite:NAME[:scale=S]   instance from graph/generators_suite.hpp
@@ -25,9 +25,7 @@
 /// The resolve/render split keeps the cache's warm path allocation-free:
 /// resolve() returns a fixed-capacity ResolvedGraphSpec and
 /// canonical_graph_key (job.hpp) renders it by appending into a reused
-/// string. Sources are registered at startup (built-ins at first use) and
-/// never unregistered; lookups take one brief lock and returned pointers
-/// stay valid for the process lifetime.
+/// string.
 
 #include <array>
 #include <cstdint>
@@ -39,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/registry.hpp"
 #include "graph/bipartite_graph.hpp"
 
 namespace bmh {
@@ -103,9 +102,6 @@ class GraphSource {
 public:
   virtual ~GraphSource() = default;
 
-  /// The scheme this source serves ("gen", "mm", ...); stable storage.
-  [[nodiscard]] virtual const std::string& scheme() const noexcept = 0;
-
   /// Parses everything after "SCHEME:" into `out` (scheme and spec text are
   /// already set). Throws std::invalid_argument on malformed input.
   virtual void parse(const std::string& rest, GraphSpec& out) const = 0;
@@ -120,37 +116,5 @@ public:
   [[nodiscard]] virtual BipartiteGraph build(const GraphSpec& spec,
                                              const ResolvedGraphSpec& resolved) const = 0;
 };
-
-/// Process-wide scheme -> source map. Thread-safe; the built-in sources are
-/// registered on first access. Sources are never unregistered, so pointers
-/// returned by find()/at() remain valid for the process lifetime.
-class GraphSourceRegistry {
-public:
-  static GraphSourceRegistry& instance();
-
-  /// Registers a source under its scheme(). Throws std::invalid_argument if
-  /// the scheme is empty, contains ':', or is already taken.
-  void register_source(std::shared_ptr<const GraphSource> source);
-
-  /// The source serving `scheme`, or nullptr.
-  [[nodiscard]] const GraphSource* find(std::string_view scheme) const;
-
-  /// The source serving `scheme`; throws std::invalid_argument listing the
-  /// registered schemes when unknown (CLI typos get an actionable message).
-  [[nodiscard]] const GraphSource& at(std::string_view scheme,
-                                      const std::string& spec_text) const;
-
-  /// All registered schemes, sorted.
-  [[nodiscard]] std::vector<std::string> schemes() const;
-
-private:
-  GraphSourceRegistry();
-
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-};
-
-/// Convenience: GraphSourceRegistry::instance().schemes().
-[[nodiscard]] std::vector<std::string> registered_graph_source_schemes();
 
 } // namespace bmh

@@ -3,13 +3,33 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "util/hash.hpp"
 
 namespace bmh {
+
+namespace {
+
+/// The source registered for `scheme`; an unknown scheme throws naming the
+/// registered ones (CLI typos get an actionable message).
+std::shared_ptr<const GraphSource> source_for(std::string_view scheme,
+                                              const std::string& spec_text) {
+  if (auto source = graph_sources().find(scheme)) return source;
+  std::string known;
+  for (const std::string& s : graph_sources().names()) {
+    if (!known.empty()) known += '|';
+    known += s;
+  }
+  throw std::invalid_argument("graph spec '" + spec_text + "': unknown scheme '" +
+                              std::string(scheme) + "' (" + known + ")");
+}
+
+} // namespace
 
 GraphSpec parse_graph_spec(const std::string& spec) {
   GraphSpec out;
@@ -20,9 +40,7 @@ GraphSpec parse_graph_spec(const std::string& spec) {
                                 "': expected SCHEME:REST (e.g. gen:er:n=4096, "
                                 "mm:path=FILE, mtx:PATH or suite:NAME)");
   out.scheme = spec.substr(0, first);
-  const GraphSource& source =
-      GraphSourceRegistry::instance().at(out.scheme, spec);
-  source.parse(spec.substr(first + 1), out);
+  source_for(out.scheme, spec)->parse(spec.substr(first + 1), out);
   return out;
 }
 
@@ -42,21 +60,16 @@ void append_number(std::string& out, std::uint64_t value) {
   if (ec == std::errc()) out.append(buf, end);
 }
 
-const GraphSource& source_for(const GraphSpec& spec) {
-  return GraphSourceRegistry::instance().at(spec.scheme, spec.spec);
-}
-
 } // namespace
 
 BipartiteGraph build_graph(const GraphSpec& spec, std::uint64_t seed) {
-  const GraphSource& source = source_for(spec);
-  return source.build(spec, source.resolve(spec, seed));
+  const auto source = source_for(spec.scheme, spec.spec);
+  return source->build(spec, source->resolve(spec, seed));
 }
 
 std::uint64_t canonical_graph_key(const GraphSpec& spec, std::uint64_t seed,
                                   std::string& out) {
-  const GraphSource& source = source_for(spec);
-  const ResolvedGraphSpec r = source.resolve(spec, seed);
+  const ResolvedGraphSpec r = source_for(spec.scheme, spec.spec)->resolve(spec, seed);
   out.clear();
   out += spec.scheme;
   out += ':';

@@ -6,7 +6,7 @@
 /// Jobs are described by compact text specs so that batch files, CLI flags
 /// and test fixtures share one parser.
 ///
-/// Graph specs (`input=`, dispatched through GraphSourceRegistry):
+/// Graph specs (`input=`, dispatched through graph_sources()):
 ///   gen:NAME:key=val,key=val         generator from graph/generators.hpp
 ///   suite:NAME[:scale=S]             instance from graph/generators_suite.hpp
 ///   mtx:PATH                         Matrix Market file, keyed by path text

@@ -1,8 +1,13 @@
 #include "engine/pipeline.hpp"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
+#include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "analysis/dulmage_mendelsohn.hpp"
@@ -66,28 +71,36 @@ void timed_stage(PipelineResult& result, const PipelineConfig& config,
   result.total_seconds += seconds;
 }
 
-/// The algorithm instance a workspace keeps warm between jobs. Rebindable
-/// instances (every built-in) take their options — the per-job seed among
-/// them — at run time, so the cache keys on the name alone and a batch
-/// worker resolves its algorithm allocation-free after the first job. A
-/// non-rebindable custom algorithm baked its options in at creation and is
-/// re-created whenever they change.
-struct CachedAlgorithm {
+/// The registry entry a workspace keeps warm between jobs. Entries take
+/// their options (the per-job seed among them) at run time, so the cache
+/// keys on the name alone: a warm worker re-resolves with one string compare
+/// (no lock, no allocation), and the shared_ptr keeps the entry alive
+/// independently of the registry.
+template <typename T>
+struct CachedEntry {
   std::string name;
-  AlgorithmOptions options;
-  std::unique_ptr<MatchingAlgorithm> algorithm;
+  std::shared_ptr<const T> entry;
 };
 
-const MatchingAlgorithm& resolve_algorithm(Workspace& ws, const PipelineConfig& config) {
-  CachedAlgorithm& cache = ws.obj<CachedAlgorithm>("pipeline.algorithm");
-  const bool hit = cache.algorithm != nullptr && cache.name == config.algorithm &&
-                   (cache.algorithm->rebindable() || cache.options == config.options);
-  if (!hit) {
-    cache.algorithm = make_algorithm(config.algorithm, config.options);
-    cache.name = config.algorithm;
-    cache.options = config.options;
+/// The entry `name` resolves to in `registry`, cached under `slot` in `ws`.
+/// An unknown name throws std::invalid_argument naming the offender and the
+/// registered names ("unknown <what> 'x'; registered: a b ...").
+template <typename T>
+const T& resolve_cached(Workspace& ws, const char* slot, const NamedRegistry<T>& registry,
+                        const std::string& name, const char* what) {
+  CachedEntry<T>& cache = ws.obj<CachedEntry<T>>(slot);
+  if (cache.entry == nullptr || cache.name != name) {
+    std::shared_ptr<const T> found = registry.find(name);
+    if (found == nullptr) {
+      std::ostringstream os;
+      os << "unknown " << what << " '" << name << "'; registered:";
+      for (const std::string& known : registry.names()) os << ' ' << known;
+      throw std::invalid_argument(os.str());
+    }
+    cache.entry = std::move(found);
+    cache.name = name;
   }
-  return *cache.algorithm;
+  return *cache.entry;
 }
 
 /// sprank(g), solved at most once per graph object: the memo on `g` is read
@@ -107,7 +120,7 @@ void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
   out.reset();  // `out` may carry a previous job's results
 
   ScalingResult& scaling = ws.obj<ScalingResult>("pipeline.scaling");
-  const bool scale = algorithm.uses_scaling() &&
+  const bool scale = algorithm.uses_scaling &&
                      config.scaling != ScalingMethod::kNone &&
                      config.scaling_iterations > 0;
   timed_stage(out, config, "scale", [&] {
@@ -129,9 +142,9 @@ void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
   }
 
   timed_stage(out, config, "match",
-              [&] { algorithm.run_ws(g, scaling, config.options, ws, out.matching); });
+              [&] { algorithm.run(g, scaling, config.options, ws, out.matching); });
   out.heuristic_cardinality = out.matching.cardinality();
-  out.exact = algorithm.is_exact();
+  out.exact = algorithm.exact;
 
   if (config.augment && !out.exact) {
     timed_stage(out, config, "augment", [&] {
@@ -152,7 +165,7 @@ void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
     if (config.compute_quality) {
       // An exact pipeline already knows the optimum: |M| = sprank. It leaves
       // the memo alone, because a user-registered algorithm can claim
-      // is_exact() wrongly and later jobs on this graph trust the memo.
+      // `exact` wrongly and later jobs on this graph trust the memo.
       out.sprank = out.exact ? out.cardinality : memoized_sprank_ws(g, ws);
       out.quality = matching_quality(out.matching, out.sprank);
     }
@@ -170,7 +183,8 @@ PipelineResult run_pipeline(const BipartiteGraph& g, const PipelineConfig& confi
 void run_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                      Workspace& ws, PipelineResult& out) {
   // Resolve the algorithm first: an unknown name must fail before any work.
-  const MatchingAlgorithm& algorithm = resolve_algorithm(ws, config);
+  const MatchingAlgorithm& algorithm = resolve_cached(
+      ws, "pipeline.algorithm", matching_algorithms(), config.algorithm, "algorithm");
   // One body for both thread modes: the guard only engages for an explicit
   // budget (<= 0 keeps the ambient OpenMP count untouched).
   std::optional<ThreadCountGuard> guard;
@@ -178,33 +192,12 @@ void run_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
   run_stages_ws(g, config, algorithm, ws, out);
 }
 
-namespace {
-
-/// The undirected counterpart of CachedAlgorithm: the cached shared_ptr
-/// keeps the resolved algorithm alive independently of the registry, and a
-/// warm worker re-resolves with one string compare (no lock, no allocation).
-struct CachedUndirectedAlgorithm {
-  std::string name;
-  std::shared_ptr<const UndirectedAlgorithmFn> fn;
-};
-
-const UndirectedAlgorithmFn& resolve_undirected_algorithm(Workspace& ws,
-                                                          const PipelineConfig& config) {
-  CachedUndirectedAlgorithm& cache =
-      ws.obj<CachedUndirectedAlgorithm>("pipeline.und_algorithm");
-  if (cache.fn == nullptr || cache.name != config.algorithm) {
-    cache.fn = UndirectedAlgorithmRegistry::instance().at(config.algorithm);
-    cache.name = config.algorithm;
-  }
-  return *cache.fn;
-}
-
-} // namespace
-
 void run_undirected_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                                 Workspace& ws, PipelineResult& out) {
   // Resolve first: an unknown name must fail before any work.
-  const UndirectedAlgorithmFn& algorithm = resolve_undirected_algorithm(ws, config);
+  const UndirectedAlgorithmFn& algorithm =
+      resolve_cached(ws, "pipeline.und_algorithm", undirected_algorithms(),
+                     config.algorithm, "undirected algorithm");
   std::optional<ThreadCountGuard> guard;
   if (config.options.threads > 0) guard.emplace(config.options.threads);
   out.reset();
@@ -236,12 +229,28 @@ void run_undirected_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& c
   timed_stage(out, config, "analyze", [&] { out.valid = is_valid_matching(ug, m); });
 }
 
+namespace {
+
+/// The analysis types run_analyze_pipeline_ws dispatches on, sorted.
+constexpr std::array<std::string_view, 3> kAnalysisTypes = {"dm", "koenig", "sprank"};
+
+[[noreturn]] void throw_unknown_analysis(const std::string& type) {
+  std::string known;
+  for (const std::string_view t : kAnalysisTypes) {
+    if (!known.empty()) known += '|';
+    known += t;
+  }
+  throw std::invalid_argument("unknown analysis type '" + type + "' (" + known + ")");
+}
+
+} // namespace
+
 void run_analyze_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                              Workspace& ws, PipelineResult& out) {
   const std::string& type = config.algorithm;
-  if (type != "dm" && type != "koenig" && type != "sprank")
-    throw std::invalid_argument("unknown analysis type '" + type +
-                                "' (dm|koenig|sprank)");
+  if (std::find(kAnalysisTypes.begin(), kAnalysisTypes.end(), type) ==
+      kAnalysisTypes.end())
+    throw_unknown_analysis(type);
   std::optional<ThreadCountGuard> guard;
   if (config.options.threads > 0) guard.emplace(config.options.threads);
   out.reset();
@@ -285,6 +294,8 @@ void run_analyze_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& conf
   });
 }
 
-std::vector<std::string> analysis_type_names() { return {"dm", "koenig", "sprank"}; }
+std::vector<std::string> analysis_type_names() {
+  return {kAnalysisTypes.begin(), kAnalysisTypes.end()};
+}
 
 } // namespace bmh

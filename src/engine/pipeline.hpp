@@ -3,9 +3,9 @@
 /// \brief Composable matching pipelines: scaling -> heuristic -> exact
 /// augmentation, with per-stage timing and quality accounting.
 ///
-/// A pipeline is the unit every entry point (benches, examples, the batch
-/// runner) executes: it owns the stage sequencing that the seed code
-/// hand-wired at each call site. Stages:
+/// A pipeline is the unit every entry point (benches, examples, the
+/// engine's workers) executes: it owns the stage sequencing that the seed
+/// code hand-wired at each call site. Stages:
 ///
 ///   scale    optional Sinkhorn-Knopp or Ruiz scaling (skipped, with
 ///            identity multipliers, when the algorithm ignores scaling)
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/workspace.hpp"
-#include "engine/algorithm.hpp"
 #include "engine/registry.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "matching/matching.hpp"
@@ -153,8 +152,8 @@ void run_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
 /// The kind=undirected-match pipeline (§5): convert the bipartite input to
 /// an undirected graph (symmetric view when square and pattern-symmetric,
 /// bipartite union otherwise — recorded in out.extras), run the undirected
-/// algorithm config.algorithm names (UndirectedAlgorithmRegistry; unknown
-/// names throw before any work), and validate. Stages are "convert",
+/// algorithm config.algorithm names (undirected_algorithms(); unknown names
+/// throw before any work), and validate. Stages are "convert",
 /// "match", "analyze". Same workspace/zero-allocation contract as
 /// run_pipeline_ws; `out.matching` is left untouched (the undirected mate
 /// array lives in the workspace, its cardinality lands in out.cardinality).

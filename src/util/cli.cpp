@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
 
 namespace bmh {
 
@@ -30,16 +31,35 @@ std::string CliArgs::get(const std::string& key, const std::string& fallback) co
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Throws std::invalid_argument naming `--key` unless `end` consumed all of
+/// a non-empty `text`.
+void require_whole(const std::string& key, const std::string& text, const char* end,
+                   const char* expected) {
+  if (text.empty() || end != text.c_str() + text.size())
+    throw std::invalid_argument("--" + key + ": expected " + expected + ", got '" +
+                                text + "'");
+}
+
+} // namespace
+
 std::int64_t CliArgs::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  char* end = nullptr;
+  const std::int64_t value = std::strtoll(it->second.c_str(), &end, 10);
+  require_whole(key, it->second, end, "an integer");
+  return value;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  char* end = nullptr;
+  const double value = std::strtod(it->second.c_str(), &end);
+  require_whole(key, it->second, end, "a number");
+  return value;
 }
 
 } // namespace bmh

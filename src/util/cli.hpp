@@ -18,6 +18,9 @@ public:
 
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
+  /// The value of `--key` as a number, or `fallback` when the flag is
+  /// absent. Throws std::invalid_argument naming the flag when the value is
+  /// empty or not entirely a number ("four", "12x").
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept { return positional_; }

@@ -22,14 +22,16 @@ TEST(Registry, KnownNamesAreRegistered) {
   for (const char* name : {"one_sided", "two_sided", "k_out", "karp_sipser", "greedy",
                            "greedy_edge", "min_degree", "hopcroft_karp", "mc21",
                            "push_relabel"}) {
-    EXPECT_TRUE(AlgorithmRegistry::instance().contains(name)) << name;
+    EXPECT_NE(matching_algorithms().find(name), nullptr) << name;
   }
 }
 
 TEST(Registry, UnknownNameFailsCleanly) {
-  EXPECT_FALSE(AlgorithmRegistry::instance().contains("does_not_exist"));
+  EXPECT_EQ(matching_algorithms().find("does_not_exist"), nullptr);
+  PipelineConfig config;
+  config.algorithm = "does_not_exist";
   try {
-    (void)make_algorithm("does_not_exist");
+    (void)run_pipeline(make_full(4), config);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     // The message must name the offender and list the alternatives.
@@ -40,47 +42,44 @@ TEST(Registry, UnknownNameFailsCleanly) {
 }
 
 TEST(Registry, DuplicateRegistrationRejected) {
-  EXPECT_THROW(AlgorithmRegistry::instance().register_algorithm(
-                   "two_sided", [](const AlgorithmOptions&) {
-                     return std::unique_ptr<MatchingAlgorithm>();
-                   }),
+  EXPECT_THROW(matching_algorithms().add(
+                   "two_sided", {false, false,
+                                 [](const BipartiteGraph&, const ScalingResult&,
+                                    const AlgorithmOptions&, Workspace&, Matching&) {}}),
                std::invalid_argument);
 }
 
 TEST(Registry, CustomAlgorithmPlugsIn) {
-  class Empty final : public MatchingAlgorithm {
-  public:
-    [[nodiscard]] const std::string& name() const noexcept override {
-      static const std::string n = "test_empty";
-      return n;
-    }
-    [[nodiscard]] Matching run(const BipartiteGraph& g,
-                               const ScalingResult&) const override {
-      return Matching(g.num_rows(), g.num_cols());
-    }
-  };
-  if (!AlgorithmRegistry::instance().contains("test_empty")) {
-    AlgorithmRegistry::instance().register_algorithm(
-        "test_empty",
-        [](const AlgorithmOptions&) { return std::make_unique<Empty>(); });
+  if (matching_algorithms().find("test_empty") == nullptr) {
+    matching_algorithms().add(
+        "test_empty", {false, false,
+                       [](const BipartiteGraph& g, const ScalingResult&,
+                          const AlgorithmOptions&, Workspace&, Matching& out) {
+                         out.reset(g.num_rows(), g.num_cols());
+                       }});
   }
   const BipartiteGraph g = make_full(4);
-  EXPECT_EQ(make_algorithm("test_empty")->run(g, identity_scaling(g)).cardinality(), 0);
+  Workspace ws;
+  Matching m;
+  matching_algorithms().find("test_empty")->run(g, identity_scaling(g), {}, ws, m);
+  EXPECT_EQ(m.cardinality(), 0);
 }
 
 TEST(Registry, EveryAlgorithmValidOnZoo) {
+  Workspace ws;
   for (const BipartiteGraph& g : small_graph_zoo()) {
     const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
     const vid_t optimum = brute_force_max_matching(g);
-    for (const std::string& name : registered_algorithm_names()) {
+    for (const std::string& name : matching_algorithms().names()) {
       if (name == "test_empty") continue;  // registered by the test above
       AlgorithmOptions options;
       options.seed = 7;
-      const auto algorithm = make_algorithm(name, options);
-      const Matching m = algorithm->run(g, s);
+      const auto algorithm = matching_algorithms().find(name);
+      Matching m;
+      algorithm->run(g, s, options, ws, m);
       expect_valid(g, m, name.c_str());
       EXPECT_LE(m.cardinality(), optimum) << name;
-      if (algorithm->is_exact()) EXPECT_EQ(m.cardinality(), optimum) << name;
+      if (algorithm->exact) EXPECT_EQ(m.cardinality(), optimum) << name;
     }
   }
 }
@@ -88,18 +87,20 @@ TEST(Registry, EveryAlgorithmValidOnZoo) {
 TEST(Registry, EveryAlgorithmValidOnSuiteGraphs) {
   // A slice of the generator suite (kept small: every registered algorithm
   // runs on every instance, including the exact backends).
+  Workspace ws;
   for (const auto& instance : make_suite(0.02, /*seed=*/3)) {
     const BipartiteGraph& g = instance.graph;
     const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
     const vid_t optimum = sprank(g);
-    for (const std::string& name : registered_algorithm_names()) {
+    for (const std::string& name : matching_algorithms().names()) {
       if (name == "test_empty") continue;
       AlgorithmOptions options;
       options.seed = 11;
-      const auto algorithm = make_algorithm(name, options);
-      const Matching m = algorithm->run(g, s);
+      const auto algorithm = matching_algorithms().find(name);
+      Matching m;
+      algorithm->run(g, s, options, ws, m);
       expect_valid(g, m, (instance.name + "/" + name).c_str());
-      if (algorithm->is_exact())
+      if (algorithm->exact)
         EXPECT_EQ(m.cardinality(), optimum) << instance.name << "/" << name;
       else
         EXPECT_LE(m.cardinality(), optimum) << instance.name << "/" << name;

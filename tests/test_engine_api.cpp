@@ -498,30 +498,20 @@ TEST(EngineSprankMemo, RepeatedJobsMatchAnUncachedEngine) {
 
 /// Claims to be exact but returns a one-edge matching: the kind of custom
 /// algorithm whose record must not leak into later jobs' sprank.
-class FalselyExact final : public MatchingAlgorithm {
-public:
-  [[nodiscard]] const std::string& name() const noexcept override {
-    static const std::string n = "test_falsely_exact";
-    return n;
-  }
-  [[nodiscard]] bool is_exact() const noexcept override { return true; }
-  [[nodiscard]] Matching run(const BipartiteGraph& g,
-                             const ScalingResult&) const override {
-    Matching m(g.num_rows(), g.num_cols());
-    for (vid_t i = 0; i < g.num_rows(); ++i)
-      if (!g.row_neighbors(i).empty()) {
-        m.match(i, g.row_neighbors(i).front());
-        break;
-      }
-    return m;
-  }
-};
+void falsely_exact(const BipartiteGraph& g, const ScalingResult&, const AlgorithmOptions&,
+                   Workspace&, Matching& out) {
+  out.reset(g.num_rows(), g.num_cols());
+  for (vid_t i = 0; i < g.num_rows(); ++i)
+    if (!g.row_neighbors(i).empty()) {
+      out.match(i, g.row_neighbors(i).front());
+      break;
+    }
+}
 
 TEST(EngineSprankMemo, FalseExactClaimDoesNotChangeLaterSprank) {
-  if (!AlgorithmRegistry::instance().contains("test_falsely_exact"))
-    AlgorithmRegistry::instance().register_algorithm(
-        "test_falsely_exact",
-        [](const AlgorithmOptions&) { return std::make_unique<FalselyExact>(); });
+  if (matching_algorithms().find("test_falsely_exact") == nullptr)
+    matching_algorithms().add("test_falsely_exact",
+                              {/*uses_scaling=*/false, /*exact=*/true, falsely_exact});
   EngineConfig config;
   config.threads = 1;
   Engine engine(config);

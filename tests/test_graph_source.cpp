@@ -56,14 +56,14 @@ const char* kTinyMtx =
     "3 3\n"
     "1 3\n";
 
-TEST(GraphSourceRegistry, SchemesAreSortedAndComplete) {
-  const std::vector<std::string> schemes = registered_graph_source_schemes();
+TEST(GraphSources, SchemesAreSortedAndComplete) {
+  const std::vector<std::string> schemes = graph_sources().names();
   EXPECT_TRUE(std::is_sorted(schemes.begin(), schemes.end()));
   for (const char* s : {"gen", "mm", "mtx", "suite"})
     EXPECT_NE(std::find(schemes.begin(), schemes.end(), s), schemes.end()) << s;
 }
 
-TEST(GraphSourceRegistry, UnknownSchemeNamesTheRegisteredOnes) {
+TEST(GraphSources, UnknownSchemeNamesTheRegisteredOnes) {
   try {
     (void)parse_graph_spec("nope:er:n=4");
     FAIL() << "expected invalid_argument";

@@ -11,11 +11,14 @@
 #include <vector>
 
 #include "core/workspace.hpp"
+#include "engine/job.hpp"
+#include "engine/pipeline.hpp"
 #include "engine/registry.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "matching/karp_sipser.hpp"
 #include "undirected/graph.hpp"
 #include "undirected/matching.hpp"
 #include "util/threading.hpp"
@@ -331,16 +334,25 @@ TEST(UndirectedWs, WorkspaceOverloadsMatchClassicResults) {
 }
 
 TEST(UndirectedRegistry, NamesAndDispatch) {
-  const std::vector<std::string> names = registered_undirected_algorithm_names();
+  const std::vector<std::string> names = undirected_algorithms().names();
   ASSERT_EQ(names.size(), 3u);
   EXPECT_EQ(names[0], "greedy");
   EXPECT_EQ(names[1], "one_out");
   EXPECT_EQ(names[2], "two_thirds");
 
-  const UndirectedAlgorithmRegistry& reg = UndirectedAlgorithmRegistry::instance();
-  EXPECT_TRUE(reg.contains("one_out"));
-  EXPECT_FALSE(reg.contains("two_sided"));  // bipartite names don't leak in
-  EXPECT_THROW((void)reg.at("nope"), std::invalid_argument);
+  const NamedRegistry<UndirectedAlgorithmFn>& reg = undirected_algorithms();
+  EXPECT_NE(reg.find("one_out"), nullptr);
+  EXPECT_EQ(reg.find("two_sided"), nullptr);  // bipartite names don't leak in
+  EXPECT_EQ(reg.find("nope"), nullptr);
+  {
+    // An unknown name fails the pipeline before any work.
+    Workspace ws;
+    PipelineConfig config;
+    config.algorithm = "nope";
+    PipelineResult out;
+    const BipartiteGraph bg = make_erdos_renyi(8, 8, 16, 1);
+    EXPECT_THROW(run_undirected_pipeline_ws(bg, config, ws, out), std::invalid_argument);
+  }
 
   // Dispatch through the registry reproduces the direct _ws call.
   const UndirectedGraph g = make_undirected_erdos_renyi(300, 900, 2);
@@ -349,42 +361,55 @@ TEST(UndirectedRegistry, NamesAndDispatch) {
   options.seed = 11;
   UndirectedMatching via_registry;
   UndirectedRunInfo info;
-  (*reg.at("two_thirds"))(g, 0, options, ws, via_registry, info);
+  (*reg.find("two_thirds"))(g, 0, options, ws, via_registry, info);
   UndirectedMatching direct;
   undirected_two_thirds_ws(g, 11, ws, direct);
   EXPECT_EQ(via_registry.mate, direct.mate);
 }
 
-// Regression for the lock-discipline fix in UndirectedAlgorithmRegistry:
-// at() used to return a reference into the mutex-guarded map (flagged by
+// Regression for the lock-discipline fix in the registries: lookup used to
+// return a reference into the mutex-guarded map (flagged by
 // -Wthread-safety-reference), so a caller's handle was only valid while the
-// never-erase invariant held. It now copies shared ownership out of the
+// never-erase invariant held. find() now copies shared ownership out of the
 // critical section — a resolved handle must keep working while other
-// threads mutate the registry.
+// threads mutate the registry. Covers all three NamedRegistry instances.
 TEST(UndirectedRegistry, ResolvedHandleSurvivesConcurrentRegistration) {
-  UndirectedAlgorithmRegistry& reg = UndirectedAlgorithmRegistry::instance();
-  const std::shared_ptr<const UndirectedAlgorithmFn> handle = reg.at("greedy");
+  NamedRegistry<UndirectedAlgorithmFn>& reg = undirected_algorithms();
+  NamedRegistry<MatchingAlgorithm>& matchers = matching_algorithms();
+  NamedRegistry<GraphSource>& sources = graph_sources();
+  const std::shared_ptr<const UndirectedAlgorithmFn> handle = reg.find("greedy");
+  const std::shared_ptr<const MatchingAlgorithm> matcher = matchers.find("karp_sipser");
+  const std::shared_ptr<const GraphSource> source = sources.find("gen");
   ASSERT_NE(handle, nullptr);
+  ASSERT_NE(matcher, nullptr);
+  ASSERT_NE(source, nullptr);
 
-  // Churn the registry from several threads while the handle is live and
-  // in use. Each registration rebalances the map; the handle must stay
-  // callable and keep producing correct matchings throughout.
+  // Churn the registries from several threads while the handles are live
+  // and in use. Each registration rebalances a map; the handles must stay
+  // callable and keep producing correct results throughout.
   const UndirectedGraph g = make_undirected_erdos_renyi(200, 600, 7);
   UndirectedMatching reference;
   {
     Workspace ws;
     undirected_greedy_ws(g, 5, ws, reference);
   }
+  const BipartiteGraph bg = make_erdos_renyi(200, 200, 600, 7);
+  const Matching bipartite_reference = karp_sipser(bg, 5);
+  const GraphSpec spec = parse_graph_spec("gen:er:n=200,deg=3");
+  const BipartiteGraph built_reference = build_graph(spec, 5);
 
   std::vector<std::thread> writers;
   writers.reserve(4);
   for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&reg, t] {
+    writers.emplace_back([&reg, &matchers, &sources, &source, t] {
       for (int i = 0; i < 8; ++i) {
-        reg.register_algorithm(
-            "churn_" + std::to_string(t) + "_" + std::to_string(i),
-            [](const UndirectedGraph&, int, const AlgorithmOptions&,
-               Workspace&, UndirectedMatching&, UndirectedRunInfo&) {});
+        const std::string name = "churn_" + std::to_string(t) + "_" + std::to_string(i);
+        reg.add(name, [](const UndirectedGraph&, int, const AlgorithmOptions&,
+                         Workspace&, UndirectedMatching&, UndirectedRunInfo&) {});
+        matchers.add(name, {false, false,
+                            [](const BipartiteGraph&, const ScalingResult&,
+                               const AlgorithmOptions&, Workspace&, Matching&) {}});
+        sources.add(name, source);
       }
     });
   }
@@ -396,12 +421,21 @@ TEST(UndirectedRegistry, ResolvedHandleSurvivesConcurrentRegistration) {
     UndirectedRunInfo info;
     (*handle)(g, 0, options, ws, out, info);
     EXPECT_EQ(out.mate, reference.mate);
+
+    Matching m;
+    matcher->run(bg, identity_scaling(bg), options, ws, m);
+    EXPECT_EQ(m.row_match, bipartite_reference.row_match);
+
+    const BipartiteGraph built = source->build(spec, source->resolve(spec, 5));
+    EXPECT_TRUE(std::ranges::equal(built.col_idx(), built_reference.col_idx()));
   }
   for (std::thread& w : writers) w.join();
 
   // The churn entries registered fine and resolve through the public API.
-  EXPECT_TRUE(reg.contains("churn_0_0"));
-  EXPECT_NE(reg.at("churn_3_7"), nullptr);
+  EXPECT_NE(reg.find("churn_0_0"), nullptr);
+  EXPECT_NE(reg.find("churn_3_7"), nullptr);
+  EXPECT_NE(matchers.find("churn_3_7"), nullptr);
+  EXPECT_EQ(sources.find("churn_3_7"), source);
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/env.hpp"
@@ -145,6 +147,33 @@ TEST(Cli, FallbacksForMissingKeys) {
   CliArgs args(1, argv);
   EXPECT_EQ(args.get("mode", "auto"), "auto");
   EXPECT_EQ(args.get_int("n", -1), -1);
+}
+
+TEST(Cli, IntegersMustBeWholeNumbers) {
+  const char* argv[] = {"prog", "--a=12", "--b=-3", "--c=four", "--d=12x", "--e="};
+  CliArgs args(6, argv);
+  EXPECT_EQ(args.get_int("a", 0), 12);
+  EXPECT_EQ(args.get_int("b", 0), -3);
+  EXPECT_THROW((void)args.get_int("c", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("d", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("e", 0), std::invalid_argument);
+  try {
+    (void)args.get_int("c", 0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--c"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Cli, DoublesMustBeNumbers) {
+  const char* argv[] = {"prog", "--a=12", "--b=-3", "--c=four", "--d=12x", "--e=",
+                        "--f=0.25"};
+  CliArgs args(7, argv);
+  EXPECT_DOUBLE_EQ(args.get_double("a", 0.0), 12.0);
+  EXPECT_DOUBLE_EQ(args.get_double("b", 0.0), -3.0);
+  EXPECT_DOUBLE_EQ(args.get_double("f", 0.0), 0.25);
+  EXPECT_THROW((void)args.get_double("c", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("d", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("e", 0.0), std::invalid_argument);
 }
 
 TEST(Threading, GuardRestoresThreadCount) {

@@ -251,7 +251,8 @@ TEST(WorkspaceHotPath, PipelineSteadyStateIsAllocationFree) {
     const auto sweep = [&] {
       for (int r = 0; r < 20; ++r) {
         // Seeds vary per job in a batch; the warm worker must stay
-        // allocation-free regardless (rebindable algorithm cache).
+        // allocation-free regardless (the workspace caches the registry
+        // entry by name; options are passed per run).
         config.options.seed = static_cast<std::uint64_t>(r);
         run_pipeline_ws(g, config, ws, out);
       }
