@@ -1,9 +1,13 @@
 #include "core/karp_sipser_mt.hpp"
 
+#include <omp.h>
+
 #include <atomic>
+#include <limits>
 #include <stdexcept>
 
 #include "core/workspace.hpp"
+#include "util/threading.hpp"
 
 namespace bmh {
 
@@ -32,6 +36,190 @@ void unify_choices(vid_t m, vid_t n, std::span<const vid_t> rchoice,
       throw std::out_of_range("unify_choices: column choice out of range");
     out[static_cast<std::size_t>(m) + static_cast<std::size_t>(j)] = i;
   }
+}
+
+namespace {
+
+// A reservation of v by frontier vertex u is parked in match[v] as
+// kClaim + u: below kNil, so `match[v] < 0` still reads "v is unmatched",
+// and ordered like u, so a write-min elects the smallest claimant.
+constexpr vid_t kClaim = std::numeric_limits<vid_t>::min();
+
+// A chain's vertices are visited in different rounds, long after their
+// lines were last touched, so each round loop fetches the lines of the
+// items kAhead, 2 kAhead and 3 kAhead positions on, one dependent level
+// (frontier -> choice -> match/deg) per distance.
+constexpr vid_t kAhead = 8;
+
+/// Where thread `tid`'s share starts when `size` items are split `nth`
+/// ways; it ends where thread tid + 1's starts.
+constexpr vid_t part(vid_t size, int tid, int nth) noexcept {
+  return static_cast<vid_t>(static_cast<std::int64_t>(size) * tid / nth);
+}
+
+/// Ends a round: each thread has left `count` next-frontier vertices at
+/// next[lo, lo + count); they are packed, in thread order, into
+/// front[0, size), and size is returned. Every team member calls it (it
+/// holds two barriers).
+vid_t pack_frontier(std::vector<vid_t>& front, const std::vector<vid_t>& next,
+                    std::vector<vid_t>& seg, vid_t lo, vid_t count, int tid, int nth) {
+  seg[static_cast<std::size_t>(tid)] = count;
+#pragma omp barrier
+  vid_t offset = 0;
+  vid_t size = 0;
+  for (int t = 0; t < nth; ++t) {
+    if (t == tid) offset = size;
+    size += seg[static_cast<std::size_t>(t)];
+  }
+  for (vid_t k = 0; k < count; ++k)
+    front[static_cast<std::size_t>(offset + k)] = next[static_cast<std::size_t>(lo + k)];
+#pragma omp barrier
+  return size;
+}
+
+} // namespace
+
+bool karp_sipser_mt_phase1_ws(std::span<const vid_t> choice, std::vector<vid_t>& match,
+                              Workspace& ws) {
+  const auto total = static_cast<vid_t>(choice.size());
+  const auto sz = choice.size();
+  match.resize(sz);
+  // deg is decremented concurrently; mark only ever transitions 1 -> 0.
+  // Plain vectors driven through std::atomic_ref so the storage can live in
+  // the workspace (std::vector<std::atomic<T>> cannot be resized).
+  std::vector<vid_t>& deg = ws.vec<vid_t>("ks1.deg", sz);
+  std::vector<char>& mark = ws.vec<char>("ks1.mark", sz);
+  std::vector<vid_t>& front = ws.vec<vid_t>("ks1.front", sz);
+  std::vector<vid_t>& next = ws.vec<vid_t>("ks1.next", sz);
+  std::vector<vid_t>& seg =
+      ws.vec<vid_t>("ks1.seg", static_cast<std::size_t>(max_threads()));
+
+#pragma omp parallel for schedule(static)
+  for (vid_t u = 0; u < total; ++u) {
+    match[static_cast<std::size_t>(u)] = kNil;
+    const bool isolated = choice[static_cast<std::size_t>(u)] == kNil;
+    std::atomic_ref<char>(mark[static_cast<std::size_t>(u)])
+        .store(isolated ? 0 : 1, std::memory_order_relaxed);
+    std::atomic_ref<vid_t>(deg[static_cast<std::size_t>(u)])
+        .store(isolated ? 0 : 1, std::memory_order_relaxed);
+  }
+
+  // deg[v] = 1 (v's own choice edge) + number of vertices that chose v,
+  // counting a reciprocal pair {u ↔ v} as the single edge it is. The read
+  // of v's own choice also checks that a chosen vertex has one.
+  bool well_formed = true;
+#pragma omp parallel for schedule(static) reduction(&& : well_formed)
+  for (vid_t u = 0; u < total; ++u) {
+    const vid_t v = choice[static_cast<std::size_t>(u)];
+    if (v == kNil) continue;
+    std::atomic_ref<char>(mark[static_cast<std::size_t>(v)])
+        .store(0, std::memory_order_relaxed);
+    const vid_t back = choice[static_cast<std::size_t>(v)];
+    well_formed = well_formed && back != kNil;
+    if (back != u)
+      std::atomic_ref<vid_t>(deg[static_cast<std::size_t>(v)])
+          .fetch_add(1, std::memory_order_relaxed);
+  }
+  if (!well_formed) return false;
+
+  // Deterministic-reservation rounds over the out-one frontier. Every
+  // frontier vertex write-mins a claim into its target; the smallest
+  // claimant wins and both are matched; a target's own choice that thereby
+  // drops to degree one joins the next frontier. Which vertex wins depends
+  // only on the ids, never on thread timing, so the pairs are the same at
+  // any thread count. Matching an out-one vertex to its only choice is a
+  // safe Karp–Sipser reduction whoever wins, so exactness is kept.
+#pragma omp parallel
+  {
+    const int nth = omp_get_num_threads();
+    const int tid = omp_get_thread_num();
+    // A team of one has nobody to race with and skips the locked
+    // instructions (same result: it is the sequential order).
+    const bool alone = nth == 1;
+    const auto at = [](const auto& a, vid_t i) { return a[static_cast<std::size_t>(i)]; };
+    const auto prefetch = [](const auto& a, vid_t i) {
+      __builtin_prefetch(a.data() + i);
+    };
+
+    // Round 0's frontier: the vertices nobody chose. Each thread's finds
+    // fit in its own share of `next`, so the shares are the segments.
+    vid_t lo = part(total, tid, nth);
+    vid_t count = 0;
+    for (vid_t u = lo; u < part(total, tid + 1, nth); ++u)
+      if (mark[static_cast<std::size_t>(u)] == 1)
+        next[static_cast<std::size_t>(lo + count++)] = u;
+
+    for (vid_t size = pack_frontier(front, next, seg, lo, count, tid, nth); size > 0;
+         size = pack_frontier(front, next, seg, lo, count, tid, nth)) {
+      lo = part(size, tid, nth);
+      const vid_t hi = part(size, tid + 1, nth);
+
+      // Reserve. match is read-only apart from the claims here; a frontier
+      // vertex that a previous round matched (as a target) sits out.
+      for (vid_t k = lo; k < hi; ++k) {
+        if (k + 2 * kAhead < hi) {
+          const vid_t x = at(front, k + 2 * kAhead);
+          prefetch(choice, x);
+          prefetch(match, x);
+        }
+        if (k + kAhead < hi) prefetch(match, at(choice, at(front, k + kAhead)));
+        const vid_t u = front[static_cast<std::size_t>(k)];
+        if (std::atomic_ref<vid_t>(match[static_cast<std::size_t>(u)])
+                .load(std::memory_order_relaxed) >= 0)
+          continue;
+        const vid_t claim = kClaim + u;
+        std::atomic_ref<vid_t> slot(match[static_cast<std::size_t>(
+            choice[static_cast<std::size_t>(u)])]);
+        vid_t seen = slot.load(std::memory_order_relaxed);
+        if (alone) {
+          if (seen < 0 && claim < seen) slot.store(claim, std::memory_order_relaxed);
+        } else {
+          while (seen < 0 && claim < seen &&
+                 !slot.compare_exchange_weak(seen, claim, std::memory_order_relaxed)) {
+          }
+        }
+      }
+#pragma omp barrier
+
+      // Commit. A reciprocal pair {u ↔ v} on the frontier claims from both
+      // ends, wins both, and stores the same pair twice; a side that finds
+      // its claim already replaced by the other side's commit skips.
+      count = 0;
+      for (vid_t k = lo; k < hi; ++k) {
+        if (k + 3 * kAhead < hi) prefetch(choice, at(front, k + 3 * kAhead));
+        if (k + 2 * kAhead < hi) {
+          const vid_t x = at(front, k + 2 * kAhead);
+          const vid_t y = at(choice, x);
+          prefetch(match, x);
+          prefetch(match, y);
+          prefetch(choice, y);
+        }
+        if (k + kAhead < hi) prefetch(deg, at(choice, at(choice, at(front, k + kAhead))));
+        const vid_t u = front[static_cast<std::size_t>(k)];
+        const vid_t v = choice[static_cast<std::size_t>(u)];
+        if (std::atomic_ref<vid_t>(match[static_cast<std::size_t>(v)])
+                .load(std::memory_order_relaxed) != kClaim + u)
+          continue;
+        std::atomic_ref<vid_t>(match[static_cast<std::size_t>(u)])
+            .store(v, std::memory_order_relaxed);
+        std::atomic_ref<vid_t>(match[static_cast<std::size_t>(v)])
+            .store(u, std::memory_order_relaxed);
+        // v is gone, so its own choice w loses one neighbour; the decrement
+        // that leaves exactly one elects w into the next frontier (Lemma 4:
+        // at most one new out-one vertex per match). w == u is a
+        // reciprocal pair, already matched. Each win yields at most one
+        // entry, so this thread's fit in its share of `next`.
+        const vid_t w = choice[static_cast<std::size_t>(v)];
+        if (w == u) continue;
+        vid_t& dw = deg[static_cast<std::size_t>(w)];
+        const vid_t left =
+            alone ? --dw
+                  : std::atomic_ref<vid_t>(dw).fetch_sub(1, std::memory_order_relaxed) - 1;
+        if (left == 1) next[static_cast<std::size_t>(lo + count++)] = w;
+      }
+    }
+  }
+  return true;
 }
 
 Matching karp_sipser_mt(vid_t m, vid_t n, std::span<const vid_t> choice,
@@ -63,88 +251,9 @@ void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
   if (!well_formed)
     throw std::invalid_argument("karp_sipser_mt: choice crosses to the same side");
 
-  // match/deg are concurrently updated; mark only ever transitions 1 -> 0
-  // (and is read after the implicit barrier), so relaxed ops suffice there.
-  // Plain vectors driven through std::atomic_ref so the storage can live in
-  // the workspace (std::vector<std::atomic<T>> cannot be resized).
   std::vector<vid_t>& match = ws.vec<vid_t>("ksmt.match", static_cast<std::size_t>(total));
-  std::vector<vid_t>& deg = ws.vec<vid_t>("ksmt.deg", static_cast<std::size_t>(total));
-  std::vector<char>& mark = ws.vec<char>("ksmt.mark", static_cast<std::size_t>(total));
-
-#pragma omp parallel for schedule(static)
-  for (vid_t u = 0; u < total; ++u) {
-    std::atomic_ref<vid_t>(match[static_cast<std::size_t>(u)])
-        .store(kNil, std::memory_order_relaxed);
-    const bool isolated = choice[static_cast<std::size_t>(u)] == kNil;
-    std::atomic_ref<char>(mark[static_cast<std::size_t>(u)])
-        .store(isolated ? 0 : 1, std::memory_order_relaxed);
-    std::atomic_ref<vid_t>(deg[static_cast<std::size_t>(u)])
-        .store(isolated ? 0 : 1, std::memory_order_relaxed);
-  }
-
-  // deg[v] = 1 (v's own choice edge) + number of vertices that chose v,
-  // counting a reciprocal pair {u ↔ v} as the single edge it is.
-#pragma omp parallel for schedule(static)
-  for (vid_t u = 0; u < total; ++u) {
-    const vid_t v = choice[static_cast<std::size_t>(u)];
-    if (v == kNil) continue;
-    std::atomic_ref<char>(mark[static_cast<std::size_t>(v)])
-        .store(0, std::memory_order_relaxed);
-    if (choice[static_cast<std::size_t>(v)] != u)
-      std::atomic_ref<vid_t>(deg[static_cast<std::size_t>(v)])
-          .fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // ---- Phase 1: consume out-one chains (paper lines 10–23). ----
-  //
-  // A note on a benign race: a reciprocal 2-clique {x, y} (x and y chose
-  // each other) that becomes out-one from both ends simultaneously can be
-  // consumed by two threads at once — thread A (curr = x) CASes match[y]
-  // while thread B (curr = y) CASes match[x]. Both succeed and both then
-  // store the *same* pair, so the final state is identical; this is why
-  // the phase match counts are derived from the match array between the
-  // phases rather than incremented inside the racy loop.
-#pragma omp parallel for schedule(guided)
-  for (vid_t u = 0; u < total; ++u) {
-    if (std::atomic_ref<char>(mark[static_cast<std::size_t>(u)])
-            .load(std::memory_order_relaxed) != 1)
-      continue;
-    vid_t curr = u;
-    while (curr != kNil) {
-      const vid_t nbr = choice[static_cast<std::size_t>(curr)];
-      vid_t expected = kNil;
-      if (std::atomic_ref<vid_t>(match[static_cast<std::size_t>(nbr)])
-              .compare_exchange_strong(
-                  expected, curr,
-                  std::memory_order_acq_rel,     // win: publish claim of nbr
-                  std::memory_order_acquire)) {  // lose: see winner's writes
-        // We won nbr: (curr, nbr) is an optimal degree-one match.
-        std::atomic_ref<vid_t>(match[static_cast<std::size_t>(curr)])
-            // release pairs with the acquire probes on other threads
-            .store(nbr, std::memory_order_release);
-        const vid_t next = choice[static_cast<std::size_t>(nbr)];
-        curr = kNil;
-        if (next != kNil &&
-            std::atomic_ref<vid_t>(match[static_cast<std::size_t>(next)])
-                    // acquire pairs with the winners' release match stores
-                    .load(std::memory_order_acquire) == kNil) {
-          // nbr chose `next`; nbr is gone, so next loses one in-chooser.
-          // AddAndFetch elects exactly one thread to continue with next as
-          // the (single, by Lemma 4) newly created out-one vertex.
-          if (std::atomic_ref<vid_t>(deg[static_cast<std::size_t>(next)])
-                      // acq_rel: the elected thread sees prior decrementers
-                      .fetch_sub(1, std::memory_order_acq_rel) -
-                  1 ==
-              1)
-            curr = next;
-        }
-      } else {
-        // Another thread matched nbr first; curr has no other neighbour
-        // worth pursuing here (it was out-one), so this chain ends.
-        curr = kNil;
-      }
-    }
-  }
+  if (!karp_sipser_mt_phase1_ws(choice, match, ws))
+    throw std::invalid_argument("karp_sipser_mt: a chosen vertex has no choice");
 
   // Snapshot the phase-1 cardinality (the parallel region above ended with
   // an implicit barrier, so the match array is settled).

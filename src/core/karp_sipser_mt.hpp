@@ -11,10 +11,13 @@
 ///
 ///  * Phase 1 tracks only *out-one* vertices (unmatched u whose choice
 ///    target is unmatched and whom no unmatched vertex chose). Consuming an
-///    out-one vertex creates at most one new out-one vertex (Lemma 4), so
-///    the phase follows chains without any worklist; a CAS arbitrates
-///    matches, and an atomic decrement on `deg` elects the single thread
-///    that continues each chain.
+///    out-one vertex creates at most one new out-one vertex (Lemma 4). The
+///    phase runs as deterministic-reservation rounds (Blelloch, Fineman,
+///    Gibbons & Shun, PPoPP 2012): each frontier vertex write-mins its id
+///    into its target, the smallest id wins, and the atomic decrement on
+///    `deg` that leaves one elects the new out-one vertex into the next
+///    round's frontier. The pairs are therefore the same at any thread
+///    count and on every run.
 ///  * Phase 2 is a plain parallel-for: in the remaining graph (singletons,
 ///    2-cliques and simple cycles) the column-side choice edges form a
 ///    maximum matching (Lemma 3), so each free column just takes its choice.
@@ -36,16 +39,30 @@ struct KarpSipserMTStats {
 
 /// Runs Algorithm 4. `choice[u]` is a unified vertex id (the partner chosen
 /// by u) or kNil for isolated vertices; `m`/`n` are the row/column counts.
-/// The returned matching is maximum on the choice subgraph regardless of
-/// the number of threads.
+/// The returned matching is maximum on the choice subgraph, and its pairs do
+/// not depend on the number of threads. Throws std::invalid_argument when a
+/// choice stays on its own side or leaves the id range, or when a chosen
+/// vertex's own choice is kNil (a chosen vertex has an edge, so it is not
+/// isolated).
 [[nodiscard]] Matching karp_sipser_mt(vid_t m, vid_t n, std::span<const vid_t> choice,
                                       KarpSipserMTStats* stats = nullptr);
 
-/// Workspace-aware variant of Algorithm 4: the match/deg/mark arrays are
-/// leased from `ws` (driven through std::atomic_ref so plain vectors can be
-/// reused) and the result lands in `out`; warm calls allocate nothing.
+/// Workspace-aware variant of Algorithm 4: the match array and the phase-1
+/// scratch are leased from `ws` (driven through std::atomic_ref so plain
+/// vectors can be reused) and the result lands in `out`; warm calls
+/// allocate nothing.
 void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
                        KarpSipserMTStats* stats, Workspace& ws, Matching& out);
+
+/// Phase 1 of Algorithm 4 on any functional graph, shared with the
+/// undirected one-out Karp–Sipser (whose proof never uses bipartiteness):
+/// `match` is resized to `choice.size()` and left holding the phase-1 pairs
+/// (partner or kNil). Every entry must be kNil or another vertex's id (the
+/// callers check this). Returns false, with `match` unspecified, when a
+/// chosen vertex's own choice is kNil. Scratch is leased from `ws` under
+/// "ks1." tags.
+[[nodiscard]] bool karp_sipser_mt_phase1_ws(std::span<const vid_t> choice,
+                                            std::vector<vid_t>& match, Workspace& ws);
 
 /// Builds the unified choice array from per-side local choices (rchoice[i]
 /// is a column id or kNil; cchoice[j] is a row id or kNil).

@@ -1,5 +1,7 @@
 #include "core/one_sided.hpp"
 
+#include <omp.h>
+
 #include <atomic>
 #include <vector>
 
@@ -22,17 +24,31 @@ void one_sided_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& sca
   std::vector<vid_t>& rchoice = ws.buf<vid_t>("os.rchoice");
   sample_row_choices(g, scaling.dc, seed, rchoice);
 
-  // cmatch[j] <- i for every row pick, with last-writer-wins races exactly
-  // as in the paper. atomic_ref keeps the data race defined; relaxed order
-  // compiles to a plain store.
+  // cmatch[j] <- i for every row pick. Where the paper lets the last racy
+  // writer win, a write-max lets the largest row id win: the same column
+  // set (so the same cardinality and guarantee), and the same pairs as a
+  // sequential run, whose last writer is the largest id, at any thread
+  // count.
   std::vector<vid_t>& cmatch =
       ws.vec<vid_t>("os.cmatch", static_cast<std::size_t>(g.num_cols()), kNil);
-#pragma omp parallel for schedule(static)
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    const vid_t j = rchoice[static_cast<std::size_t>(i)];
-    if (j == kNil) continue;
-    std::atomic_ref<vid_t>(cmatch[static_cast<std::size_t>(j)])
-        .store(i, std::memory_order_relaxed);
+#pragma omp parallel
+  {
+    // A team of one visits the rows in ascending order, so its plain
+    // stores already leave the largest id; it skips the CAS.
+    const bool alone = omp_get_num_threads() == 1;
+#pragma omp for schedule(static)
+    for (vid_t i = 0; i < g.num_rows(); ++i) {
+      const vid_t j = rchoice[static_cast<std::size_t>(i)];
+      if (j == kNil) continue;
+      std::atomic_ref<vid_t> slot(cmatch[static_cast<std::size_t>(j)]);
+      if (alone) {
+        slot.store(i, std::memory_order_relaxed);
+      } else {
+        vid_t seen = slot.load(std::memory_order_relaxed);
+        while (i > seen && !slot.compare_exchange_weak(seen, i, std::memory_order_relaxed)) {
+        }
+      }
+    }
   }
 
   matching_from_col_view(g.num_rows(), cmatch, out);

@@ -4,11 +4,14 @@
 /// 0.632-approximation heuristic.
 ///
 /// Every row independently picks one column from the scaled probability
-/// density; concurrent rows may pick the same column and race on
-/// `cmatch[j]`, but any surviving write is a valid matching edge, so no
-/// conflict resolution is needed (the heuristic's headline property). For
-/// a doubly stochastic scaling the expected number of unmatched columns is
-/// at most n/e, giving the 1 − 1/e ≈ 0.632 guarantee of Theorem 1.
+/// density; concurrent rows may pick the same column, and any one of them
+/// is a valid matching edge, so no conflict resolution beyond a single
+/// write per row is needed (the heuristic's headline property). The write
+/// is a priority update: the largest row id survives in `cmatch[j]`, which
+/// is also what a sequential run's last writer leaves, so the pairs do not
+/// depend on the thread count. For a doubly stochastic scaling the expected
+/// number of unmatched columns is at most n/e, giving the 1 − 1/e ≈ 0.632
+/// guarantee of Theorem 1.
 
 #include <cstdint>
 
@@ -19,9 +22,11 @@
 
 namespace bmh {
 
-/// Runs Algorithm 2 on a pre-scaled matrix. The racy `cmatch` writes are
-/// relaxed atomic stores (same machine code as plain stores on x86, but
-/// well-defined under the C++ memory model).
+/// Runs Algorithm 2 on a pre-scaled matrix. The `cmatch` writes are
+/// write-max priority updates (Shun, Blelloch, Fineman & Gibbons, SPAA
+/// 2013): a relaxed load, then a CAS only while the row id is larger than
+/// the value held, so a contested column costs one CAS per improvement (a
+/// single-thread team stores plainly: its last writer is the largest id).
 [[nodiscard]] Matching one_sided_from_scaling(const BipartiteGraph& g,
                                               const ScalingResult& scaling,
                                               std::uint64_t seed);

@@ -17,7 +17,7 @@ namespace bmh {
 
 struct OneSidedProfile {
   double scaling_seconds = 0.0;
-  double matching_seconds = 0.0;  ///< sampling + racy cmatch writes
+  double matching_seconds = 0.0;  ///< sampling + cmatch priority writes
   int scaling_iterations = 0;
   double scaling_error = 0.0;
   Matching matching;

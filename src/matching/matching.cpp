@@ -35,7 +35,7 @@ void matching_from_col_view(vid_t num_rows, const std::vector<vid_t>& col_match,
       throw std::out_of_range(os.str());
     }
     // Duplicate claims keep the last column's write (see the col-view test:
-    // OneSidedMatch's racy writes never produce them, but the reconstruction
+    // OneSidedMatch's column writes never produce them, but the reconstruction
     // stays total on inconsistent views rather than throwing).
     out.row_match[static_cast<std::size_t>(i)] = j;
   }

@@ -64,7 +64,7 @@ struct Matching {
 };
 
 /// Reconstructs the row view from a column view (used by OneSidedMatch,
-/// whose racy writes leave only `cmatch` authoritative). Throws
+/// whose per-column writes leave only `cmatch` authoritative). Throws
 /// std::out_of_range if an entry is neither kNil nor a row id in
 /// [0, num_rows).
 [[nodiscard]] Matching matching_from_col_view(vid_t num_rows,

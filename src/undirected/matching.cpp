@@ -1,10 +1,10 @@
 #include "undirected/matching.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/karp_sipser_mt.hpp"
 #include "util/rng.hpp"
 
 namespace bmh {
@@ -145,77 +145,27 @@ void one_out_karp_sipser_ws(vid_t n, std::span<const vid_t> choice, Workspace& w
                             UndirectedMatching& out) {
   if (choice.size() != static_cast<std::size_t>(n))
     throw std::invalid_argument("one_out_karp_sipser: choice size mismatch");
-
-  // Plain leased vectors accessed through std::atomic_ref where phases race
-  // (the karp_sipser_mt idiom) — std::vector<std::atomic<…>> cannot live in
-  // a workspace lease.
-  auto& match = ws.vec<vid_t>("und.ks.match", static_cast<std::size_t>(n));
-  auto& deg = ws.vec<vid_t>("und.ks.deg", static_cast<std::size_t>(n));
-  auto& mark = ws.vec<char>("und.ks.mark", static_cast<std::size_t>(n));
-
-#pragma omp parallel for schedule(static)
-  for (vid_t u = 0; u < n; ++u) {
-    match[static_cast<std::size_t>(u)] = kNil;
-    const bool isolated = choice[static_cast<std::size_t>(u)] == kNil;
-    mark[static_cast<std::size_t>(u)] = isolated ? 0 : 1;
-    deg[static_cast<std::size_t>(u)] = isolated ? 0 : 1;
-  }
-#pragma omp parallel for schedule(static)
+  // Every choice must name another vertex; Phase 1 would index out of
+  // bounds otherwise.
+  bool well_formed = true;
+#pragma omp parallel for schedule(static) reduction(&& : well_formed)
   for (vid_t u = 0; u < n; ++u) {
     const vid_t v = choice[static_cast<std::size_t>(u)];
-    if (v == kNil) continue;
-    std::atomic_ref<char>(mark[static_cast<std::size_t>(v)])
-        .store(0, std::memory_order_relaxed);
-    if (choice[static_cast<std::size_t>(v)] != u)
-      std::atomic_ref<vid_t>(deg[static_cast<std::size_t>(v)])
-          .fetch_add(1, std::memory_order_relaxed);
+    well_formed = well_formed && (v == kNil || (v >= 0 && v < n && v != u));
   }
+  if (!well_formed)
+    throw std::invalid_argument(
+        "one_out_karp_sipser: choice out of range or a vertex's own id");
 
-  // Phase 1: identical to the bipartite Algorithm 4 — the out-one chain
-  // argument never uses bipartiteness.
-#pragma omp parallel for schedule(guided)
-  for (vid_t u = 0; u < n; ++u) {
-    if (mark[static_cast<std::size_t>(u)] != 1) continue;
-    vid_t curr = u;
-    while (curr != kNil) {
-      const vid_t nbr = choice[static_cast<std::size_t>(curr)];
-      vid_t expected = kNil;
-      if (std::atomic_ref<vid_t>(match[static_cast<std::size_t>(nbr)])
-              .compare_exchange_strong(
-                  expected, curr,
-                  std::memory_order_acq_rel,     // win: publish claim of nbr
-                  std::memory_order_acquire)) {  // lose: see winner's writes
-        std::atomic_ref<vid_t>(match[static_cast<std::size_t>(curr)])
-            // release pairs with the acquire probes on other threads
-            .store(nbr, std::memory_order_release);
-        const vid_t next = choice[static_cast<std::size_t>(nbr)];
-        curr = kNil;
-        if (next != kNil &&
-            std::atomic_ref<vid_t>(match[static_cast<std::size_t>(next)])
-                    // acquire pairs with the winners' release match stores
-                    .load(std::memory_order_acquire) == kNil) {
-          if (std::atomic_ref<vid_t>(deg[static_cast<std::size_t>(next)])
-                      // acq_rel: the elected thread sees prior decrementers
-                      .fetch_sub(1, std::memory_order_acq_rel) -
-                  1 ==
-              1)
-            curr = next;
-        }
-      } else {
-        curr = kNil;
-      }
-    }
-  }
+  // Phase 1: the bipartite Algorithm 4's, shared — the out-one argument
+  // never uses bipartiteness. It leaves the phase-1 pairs in out.mate.
+  if (!karp_sipser_mt_phase1_ws(choice, out.mate, ws))
+    throw std::invalid_argument("one_out_karp_sipser: a chosen vertex has no choice");
 
   // Phase 2: survivors form disjoint simple cycles (possibly odd). Walk
   // each once and match alternate edges; odd cycles leave one vertex free.
   // This phase is sequential: surviving cycle mass is O(sqrt(n)) in
   // expectation for random choices, so it does not affect scalability.
-  out.mate.resize(static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(static)
-  for (vid_t u = 0; u < n; ++u)
-    out.mate[static_cast<std::size_t>(u)] = match[static_cast<std::size_t>(u)];
-
   auto& visited = ws.vec<char>("und.ks.visited", static_cast<std::size_t>(n),
                                static_cast<char>(0));
   auto& cycle = ws.buf<vid_t>("und.ks.cycle");

@@ -72,8 +72,12 @@ struct SymmetricScaling {
 
 /// Karp–Sipser specialized to functional (1-out) subgraphs of an
 /// undirected graph: exact maximum matching on {{u, choice[u]}}, handling
-/// odd cycles. Parallel Phase 1 (out-one chains, as Algorithm 4); Phase 2
-/// claims each surviving cycle and matches alternate edges.
+/// odd cycles. Phase 1 is Algorithm 4's own (karp_sipser_mt_phase1_ws):
+/// deterministic-reservation rounds over the out-one vertices, where the
+/// smallest claimant of a contested vertex wins, so the pairs do not depend
+/// on the thread count. Phase 2 claims each surviving cycle and matches
+/// alternate edges. Throws std::invalid_argument when a choice is out of
+/// range or a vertex's own id, or when a chosen vertex's choice is kNil.
 [[nodiscard]] UndirectedMatching one_out_karp_sipser(vid_t n,
                                                      std::span<const vid_t> choice);
 

@@ -95,6 +95,14 @@ TEST(KarpSipserMT, SameSideChoiceRejected) {
   EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument);
 }
 
+TEST(KarpSipserMT, ChosenVertexWithoutChoiceRejected) {
+  // Rows 0-1, columns 2-3. Row 0 chose nothing, yet columns 2 and 3 chose
+  // it: a vertex with an edge cannot be isolated, and Phase 1 would follow
+  // row 0's missing choice out of bounds.
+  const std::vector<vid_t> choice = {kNil, 2, 0, 0};
+  EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument);
+}
+
 TEST(KarpSipserMT, UnifyChoicesValidatesRanges) {
   const std::vector<vid_t> bad_row = {5};   // column 5 does not exist
   const std::vector<vid_t> ok_col = {kNil};
@@ -138,12 +146,11 @@ TEST(KarpSipserMT, PureChainResolvedEntirelyInPhase1) {
 }
 
 TEST(KarpSipserMT, ReciprocalCliqueReachedFromBothSidesCountsOnce) {
-  // Regression test for a benign race: a reciprocal 2-clique {x, y} whose
-  // two endpoints both become out-one can be consumed by two threads at
-  // once (both CAS different locations and write the same pair). The
-  // matching is unaffected, but the phase statistics must not double-count
-  // the pair. Structure: two out-one tails feeding the two sides of a
-  // reciprocal pair:  t1 -> x,  t2 -> y,  x <-> y.
+  // Regression test for a reciprocal 2-clique {x, y} reached from both
+  // sides at once: two out-one tails t1 -> y and t2 -> x claim the two
+  // sides in the same Phase-1 round and both win. The phase statistics
+  // must count every matched pair exactly once. Structure: t1 -> y,
+  // t2 -> x, x <-> y.
   //
   // Unified ids: rows {t1=0, x=1}, columns {t2=2 -> local 0, y=3 -> 1}.
   std::vector<vid_t> choice(4, kNil);

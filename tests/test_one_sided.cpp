@@ -89,10 +89,9 @@ TEST(OneSided, ZeroIterationsEqualsUniformPick) {
 
 TEST(OneSided, CardinalityDeterministicInSeedGivenScaling) {
   // The per-row choices are deterministic, so the set of picked columns —
-  // and hence |M| — is reproducible. Which row's racy write survives on a
-  // contested column is scheduling-dependent (and deliberately so: the
-  // paper's point is that any surviving write is fine), so we do NOT
-  // compare the match arrays themselves.
+  // and hence |M| — is reproducible. Which row survives on a contested
+  // column (the largest id) is checked, across thread counts, by
+  // ThreadSweepTest.OneSidedPairsAreThreadCountInvariant.
   const BipartiteGraph g = make_planted_perfect(500, 3, 2);
   const ScalingResult s = scale_sinkhorn_knopp(g);
   const Matching a = one_sided_from_scaling(g, s, 7);

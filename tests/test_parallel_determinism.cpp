@@ -11,6 +11,8 @@
 #include "matching/hopcroft_karp.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
 #include "test_helpers.hpp"
+#include "undirected/graph.hpp"
+#include "undirected/matching.hpp"
 #include "util/threading.hpp"
 
 namespace bmh {
@@ -61,7 +63,7 @@ TEST_P(ThreadSweepTest, GeneratorsAreThreadCountInvariant) {
 
 TEST_P(ThreadSweepTest, OneSidedCardinalityIsThreadCountInvariant) {
   // Each row's pick is deterministic; |M| = #distinct picked columns does
-  // not depend on which racy write survives.
+  // not depend on which of a column's pickers is kept.
   ThreadCountGuard guard(GetParam());
   const BipartiteGraph g = make_planted_perfect(3000, 3, 9);
   const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
@@ -85,6 +87,50 @@ TEST_P(ThreadSweepTest, TwoSidedCardinalityIsThreadCountInvariant) {
     ref = two_sided_from_scaling(g, s, 17).cardinality();
   }
   EXPECT_EQ(card, ref);
+}
+
+// The pairs themselves, not just their number, are thread-count invariant:
+// OneSided keeps the largest row id per column, and KarpSipserMT's Phase 1
+// elects the smallest claimant per vertex in deterministic rounds.
+
+TEST_P(ThreadSweepTest, OneSidedPairsAreThreadCountInvariant) {
+  ThreadCountGuard guard(GetParam());
+  const BipartiteGraph g = make_erdos_renyi(3000, 3000, 12000, 21);
+  const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+  const Matching m = one_sided_from_scaling(g, s, 13);
+  Matching ref;
+  {
+    ThreadCountGuard inner(1);
+    ref = one_sided_from_scaling(g, s, 13);
+  }
+  EXPECT_EQ(m.row_match, ref.row_match);
+}
+
+TEST_P(ThreadSweepTest, TwoSidedPairsAreThreadCountInvariant) {
+  ThreadCountGuard guard(GetParam());
+  const BipartiteGraph g = make_erdos_renyi(3000, 3000, 12000, 23);
+  const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+  const Matching m = two_sided_from_scaling(g, s, 17);
+  Matching ref;
+  {
+    ThreadCountGuard inner(1);
+    ref = two_sided_from_scaling(g, s, 17);
+  }
+  EXPECT_EQ(m.row_match, ref.row_match);
+}
+
+TEST_P(ThreadSweepTest, UndirectedOneOutPairsAreThreadCountInvariant) {
+  ThreadCountGuard guard(GetParam());
+  const UndirectedGraph g = make_undirected_erdos_renyi(6000, 24000, 25);
+  const SymmetricScaling s = scale_symmetric(g, 3);
+  const std::vector<vid_t> choice = sample_choices(g, s.d, 5);
+  const UndirectedMatching m = one_out_karp_sipser(g.num_vertices(), choice);
+  UndirectedMatching ref;
+  {
+    ThreadCountGuard inner(1);
+    ref = one_out_karp_sipser(g.num_vertices(), choice);
+  }
+  EXPECT_EQ(m.mate, ref.mate);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweepTest, ::testing::Values(1, 2, 4, 8, 16));

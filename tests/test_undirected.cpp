@@ -141,6 +141,19 @@ TEST(OneOutKarpSipser, IsolatedVerticesHandled) {
   EXPECT_EQ(m.cardinality(), 1);
 }
 
+TEST(OneOutKarpSipser, MalformedChoicesRejected) {
+  // Vertex 0 chose nothing, yet vertices 2 and 3 chose it: a vertex with an
+  // edge cannot be isolated, and Phase 1 would follow its missing choice.
+  EXPECT_THROW((void)one_out_karp_sipser(4, std::vector<vid_t>{kNil, 2, 0, 0}),
+               std::invalid_argument);
+  // Vertex 7 does not exist.
+  EXPECT_THROW((void)one_out_karp_sipser(4, std::vector<vid_t>{1, 7, kNil, kNil}),
+               std::invalid_argument);
+  // A vertex cannot choose itself (graphs hold no self-loops).
+  EXPECT_THROW((void)one_out_karp_sipser(2, std::vector<vid_t>{0, 0}),
+               std::invalid_argument);
+}
+
 class UndirectedOneOutExactness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(UndirectedOneOutExactness, MatchesBruteForceOnChoiceSubgraph) {
