@@ -9,8 +9,20 @@
 /// the point of the specialization is the parallel speed.
 
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
+
+namespace {
+
+/// "median [min..max]" of one timing column: a single run on a shared host
+/// varies by more than a typical kernel change, so the spread is printed.
+std::string spread(const bmh::RunStats& s) {
+  return bmh::format_double(s.median(), 4) + " [" + bmh::format_double(s.min(), 4) + ".." +
+         bmh::format_double(s.max(), 4) + "]";
+}
+
+} // namespace
 
 int main() {
   using namespace bmh;
@@ -34,18 +46,18 @@ int main() {
     const BipartiteGraph sub =
         materialize_choice_graph(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
 
-    double t_ks, t_hk, t_ksmt1, t_ksmtN;
+    RunStats t_ks, t_hk, t_ksmt1, t_ksmtN;
     {
       ThreadCountGuard guard(1);
-      t_ks = bench::time_geomean(
+      t_ks = bench::time_runs(
           [&](int r) { (void)karp_sipser(sub, static_cast<std::uint64_t>(r)); }, runs, 1);
-      t_hk = bench::time_geomean([&](int) { (void)hopcroft_karp(sub); }, runs, 1);
-      t_ksmt1 = bench::time_geomean(
+      t_hk = bench::time_runs([&](int) { (void)hopcroft_karp(sub); }, runs, 1);
+      t_ksmt1 = bench::time_runs(
           [&](int) { (void)karp_sipser_mt(g.num_rows(), g.num_cols(), unified); }, runs, 1);
     }
     {
       ThreadCountGuard guard(max_t);
-      t_ksmtN = bench::time_geomean(
+      t_ksmtN = bench::time_runs(
           [&](int) { (void)karp_sipser_mt(g.num_rows(), g.num_cols(), unified); }, runs, 1);
     }
 
@@ -61,13 +73,15 @@ int main() {
     table.row()
         .add(name)
         .add(format_count(static_cast<std::int64_t>(g.num_rows()) + g.num_cols()))
-        .add(t_ks, 4)
-        .add(t_hk, 4)
-        .add(t_ksmt1, 4)
-        .add(t_ksmtN, 4)
+        .add(spread(t_ks))
+        .add(spread(t_hk))
+        .add(spread(t_ksmt1))
+        .add(spread(t_ksmtN))
         .add(all_exact ? "yes" : "NO — BUG");
   }
-  table.print(std::cout, "same choice subgraph per instance; times in seconds");
+  table.print(std::cout,
+              "same choice subgraph per instance; seconds, median [min..max] over " +
+                  std::to_string(runs) + " runs");
   std::cout << "\nexpected shape: all methods find the same (maximum) cardinality —\n"
                "KS is exact on these graphs (Lemmas 1-3); KarpSipserMT at max\n"
                "threads is the fastest, which is the reason the specialization\n"

@@ -29,6 +29,26 @@ double RunStats::min(std::size_t warmup) const {
                            samples_.end());
 }
 
+double RunStats::max(std::size_t warmup) const {
+  check_window(samples_.size(), warmup);
+  return *std::max_element(samples_.begin() + static_cast<std::ptrdiff_t>(warmup),
+                           samples_.end());
+}
+
+double RunStats::median(std::size_t warmup) const {
+  check_window(samples_.size(), warmup);
+  std::vector<double> window(samples_.begin() + static_cast<std::ptrdiff_t>(warmup),
+                             samples_.end());
+  const std::size_t mid = window.size() / 2;
+  std::nth_element(window.begin(), window.begin() + static_cast<std::ptrdiff_t>(mid),
+                   window.end());
+  if (window.size() % 2 == 1) return window[mid];
+  const double upper = window[mid];
+  const double lower =
+      *std::max_element(window.begin(), window.begin() + static_cast<std::ptrdiff_t>(mid));
+  return (lower + upper) / 2.0;
+}
+
 double RunStats::mean(std::size_t warmup) const {
   check_window(samples_.size(), warmup);
   double sum = 0.0;

@@ -41,6 +41,13 @@ public:
   /// Arithmetic minimum over all samples after skipping the first `warmup`.
   [[nodiscard]] double min(std::size_t warmup = 0) const;
 
+  /// Maximum over all samples after skipping the first `warmup`.
+  [[nodiscard]] double max(std::size_t warmup = 0) const;
+
+  /// Median after skipping the first `warmup` (mean of the middle two when
+  /// the count is even).
+  [[nodiscard]] double median(std::size_t warmup = 0) const;
+
   /// Arithmetic mean after skipping the first `warmup`.
   [[nodiscard]] double mean(std::size_t warmup = 0) const;
 

@@ -1,14 +1,14 @@
 /// \file test_mpsc_ring.cpp
 /// \brief Tests for the bounded lock-free submission ring (util/mpsc_ring.hpp)
 /// and the allocation-freedom of the Engine's warm single-job submit path
-/// (certified by the global allocation counter from bench_common.hpp).
+/// (certified by the global allocation counter from alloc_counter.hpp).
 
 // Exactly one TU per binary may define this before including
-// bench_common.hpp: it replaces the global operator new/delete with
+// alloc_counter.hpp: it replaces the global operator new/delete with
 // counting versions.
 #define BMH_COUNT_ALLOCS
 
-#include "../bench/bench_common.hpp"
+#include "alloc_counter.hpp"
 
 #include <gtest/gtest.h>
 
@@ -233,12 +233,12 @@ TEST(EngineSubmitRing, WarmSubmitPerformsZeroHeapAllocations) {
 
   // No gtest machinery inside the measured window — record, assert after.
   bool all_accepted = true;
-  const bench::AllocStats before = bench::alloc_stats();
+  const testing::AllocStats before = testing::alloc_stats();
   for (int i = 0; i < kJobs; ++i)
     all_accepted &=
         engine.try_submit(std::move(jobs[static_cast<std::size_t>(i)]),
                           std::move(callbacks[static_cast<std::size_t>(i)]));
-  const bench::AllocStats after = bench::alloc_stats();
+  const testing::AllocStats after = testing::alloc_stats();
   EXPECT_TRUE(all_accepted);
   EXPECT_EQ(after.allocations, before.allocations)
       << "a warm single-job submit must not allocate";

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "core/one_sided.hpp"
 #include "core/two_sided.hpp"
+#include "engine/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
@@ -134,6 +140,89 @@ TEST_P(ThreadSweepTest, UndirectedOneOutPairsAreThreadCountInvariant) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweepTest, ::testing::Values(1, 2, 4, 8, 16));
+
+// Every name a job spec can name, in every registry, yields the same result
+// at any stage thread budget. Iterating the registries themselves means a
+// name registered later is covered without touching this test.
+
+/// Every scalar a non-match pipeline reports, for comparison.
+auto extras_fields(const AnalysisExtras& e) {
+  return std::tie(e.symmetric_view, e.vertices, e.undirected_edges, e.h_rows, e.h_cols,
+                  e.s_size, e.v_rows, e.v_cols, e.fine_blocks, e.total_support,
+                  e.fully_indecomposable, e.cover_size, e.cover_valid, e.maximum);
+}
+
+/// What one pipeline run produced: the cardinalities and extras it reports,
+/// plus the pairs (bipartite row_match, or the undirected mate array).
+struct RunOutcome {
+  vid_t cardinality = 0;
+  vid_t sprank = 0;
+  bool valid = false;
+  AnalysisExtras extras;
+  std::vector<vid_t> pairs;
+
+  bool operator==(const RunOutcome& o) const {
+    return std::tie(cardinality, sprank, valid, pairs) ==
+               std::tie(o.cardinality, o.sprank, o.valid, o.pairs) &&
+           extras_fields(extras) == extras_fields(o.extras);
+  }
+};
+
+enum class PipelineKind { kMatch, kUndirected, kAnalyze };
+
+RunOutcome run_at_threads(PipelineKind kind, const std::string& name, int threads,
+                          std::uint64_t graph_seed) {
+  // A fresh graph per run, so no sprank memo carries over between counts.
+  const BipartiteGraph g = make_erdos_renyi(1500, 1800, 7000, graph_seed);
+  PipelineConfig config;
+  config.algorithm = name;
+  config.options.seed = 29;
+  config.options.threads = threads;
+  Workspace ws;
+  PipelineResult out;
+  RunOutcome r;
+  switch (kind) {
+    case PipelineKind::kMatch:
+      run_pipeline_ws(g, config, ws, out);
+      r.pairs = out.matching.row_match;
+      break;
+    case PipelineKind::kUndirected:
+      run_undirected_pipeline_ws(g, config, ws, out);
+      r.pairs = ws.obj<UndirectedMatching>("und.matching").mate;
+      break;
+    case PipelineKind::kAnalyze:
+      run_analyze_pipeline_ws(g, config, ws, out);
+      if (name == "koenig") r.pairs = ws.obj<Matching>("analyze.matching").row_match;
+      break;
+  }
+  r.cardinality = out.cardinality;
+  r.sprank = out.sprank;
+  r.valid = out.valid;
+  r.extras = out.extras;
+  return r;
+}
+
+TEST(RegistryDeterminism, EveryRegisteredNameIsThreadCountInvariant) {
+  const std::vector<std::pair<PipelineKind, std::vector<std::string>>> registries = {
+      {PipelineKind::kMatch, matching_algorithms().names()},
+      {PipelineKind::kUndirected, undirected_algorithms().names()},
+      {PipelineKind::kAnalyze, analysis_type_names()},
+  };
+  int covered = 0;
+  for (const auto& [kind, names] : registries) {
+    for (const std::string& name : names) {
+      for (const std::uint64_t graph_seed : {3u, 4u}) {
+        const RunOutcome ref = run_at_threads(kind, name, 1, graph_seed);
+        EXPECT_TRUE(ref.valid) << name;
+        for (const int threads : {2, 4, 8})
+          EXPECT_EQ(run_at_threads(kind, name, threads, graph_seed), ref)
+              << name << " at " << threads << " threads, graph seed " << graph_seed;
+      }
+      ++covered;
+    }
+  }
+  EXPECT_GE(covered, 16);  // 10 matching + 3 undirected + 3 analysis built-ins
+}
 
 TEST(RaceStress, OneSidedStaysValidUnderManyParallelRuns) {
   const BipartiteGraph g = make_erdos_renyi(4000, 4000, 16000, 3);

@@ -39,6 +39,20 @@ TEST(RunStats, WarmupSkipsLeadingSamples) {
   EXPECT_NEAR(s.geomean(1), 1.0, 1e-9);
   EXPECT_NEAR(s.min(1), 1.0, 1e-9);
   EXPECT_NEAR(s.mean(1), 1.0, 1e-9);
+  EXPECT_NEAR(s.max(1), 1.0, 1e-9);
+  EXPECT_NEAR(s.median(1), 1.0, 1e-9);
+}
+
+TEST(RunStats, MedianAndMaxOfUnsortedSamples) {
+  RunStats odd;
+  for (const double x : {5.0, 1.0, 3.0}) odd.add(x);
+  EXPECT_EQ(odd.median(), 3.0);
+  EXPECT_EQ(odd.min(), 1.0);
+  EXPECT_EQ(odd.max(), 5.0);
+  RunStats even;
+  for (const double x : {4.0, 1.0, 2.0, 8.0}) even.add(x);
+  EXPECT_EQ(even.median(), 3.0);
+  EXPECT_EQ(even.max(), 8.0);
 }
 
 TEST(RunStats, GeomeanMixesMultiplicatively) {

@@ -2,17 +2,18 @@
 /// \brief Tests for the Workspace scratch-arena subsystem: lease semantics,
 /// parity of the `_ws` overloads with the classic entry points, and the
 /// allocation-freedom of the warm batch-serving hot paths (certified by the
-/// global allocation counter from bench_common.hpp).
+/// global allocation counter from alloc_counter.hpp).
 
 // Exactly one TU per binary may define this before including
-// bench_common.hpp: it replaces the global operator new/delete with
+// alloc_counter.hpp: it replaces the global operator new/delete with
 // counting versions.
 #define BMH_COUNT_ALLOCS
 
-#include "../bench/bench_common.hpp"
+#include "alloc_counter.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <thread>
 
@@ -206,10 +207,10 @@ TEST(WorkspaceParity, PipelineMatchesClassicEntryPoint) {
 
 TEST(WorkspaceHotPath, KernelSteadyStateIsAllocationFree) {
   // Counting is compiled out under TSan (the operator-new replacement
-  // bypasses TSan's allocator interposition — see bench_common.hpp); the
+  // bypasses TSan's allocator interposition — see alloc_counter.hpp); the
   // alloc assertions below then compare zeros while the rest still runs.
-#if !defined(BMH_BENCH_TSAN)
-  static_assert(bench::kAllocCountingEnabled);
+#if !defined(BMH_TESTING_TSAN)
+  static_assert(testing::kAllocCountingEnabled);
 #endif
   const BipartiteGraph g = make_erdos_renyi(1024, 1024, 8192, 42);
   const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
@@ -229,9 +230,9 @@ TEST(WorkspaceHotPath, KernelSteadyStateIsAllocationFree) {
     }
   };
   sweep();
-  const bench::AllocStats before = bench::alloc_stats();
+  const testing::AllocStats before = testing::alloc_stats();
   sweep();
-  const bench::AllocStats after = bench::alloc_stats();
+  const testing::AllocStats after = testing::alloc_stats();
   EXPECT_EQ(after.allocations, before.allocations);
   EXPECT_EQ(after.live_bytes, before.live_bytes);
 }
@@ -258,9 +259,9 @@ TEST(WorkspaceHotPath, PipelineSteadyStateIsAllocationFree) {
       }
     };
     sweep();
-    const bench::AllocStats before = bench::alloc_stats();
+    const testing::AllocStats before = testing::alloc_stats();
     sweep();
-    const bench::AllocStats after = bench::alloc_stats();
+    const testing::AllocStats after = testing::alloc_stats();
     EXPECT_EQ(after.allocations, before.allocations) << algo;
     EXPECT_EQ(after.live_bytes, before.live_bytes) << algo;
   }
@@ -274,14 +275,51 @@ TEST(WorkspaceHotPath, CacheServedJobGraphPathIsAllocationFree) {
   const GraphSpec spec = parse_graph_spec("gen:er:n=1024,deg=8,seed=5");
   for (int warm = 0; warm < 3; ++warm)
     (void)cache.get_or_build(spec, static_cast<std::uint64_t>(warm));
-  const bench::AllocStats before = bench::alloc_stats();
+  const testing::AllocStats before = testing::alloc_stats();
   for (int r = 0; r < 20; ++r) {
     const auto g = cache.get_or_build(spec, static_cast<std::uint64_t>(r));
     EXPECT_EQ(g->num_rows(), 1024);
   }
-  const bench::AllocStats after = bench::alloc_stats();
+  const testing::AllocStats after = testing::alloc_stats();
   EXPECT_EQ(after.allocations, before.allocations);
   EXPECT_EQ(after.live_bytes, before.live_bytes);
+}
+
+TEST(WorkspaceHotPath, StoreLoadIsZeroCopy) {
+  // A graph served from the persistent store is an mmap view: the load's
+  // retained heap is a small constant of bookkeeping (cache entry, key,
+  // mapping handle), never the edge arrays, which stay in the mapping.
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("bmh_zero_copy_" +
+        std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
+          .string();
+  fs::remove_all(dir);
+  const GraphSpec spec = parse_graph_spec("gen:er:n=1024,deg=8,seed=5");
+  GraphCache::Options options;
+  options.store_dir = dir;
+  std::size_t file_bytes = 0;
+  {
+    GraphCache spilling(options);  // cold build, written through to `dir`
+    const auto built = spilling.get_or_build(spec, 3);
+    ASSERT_EQ(spilling.stats().store_spills, 1u);
+    file_bytes = serialized_graph_bytes(*built, canonical_graph_key(spec, 3));
+  }
+
+  GraphCache restarted(options);  // empty memory tier over the warm store
+  const testing::AllocStats before = testing::alloc_stats();
+  const auto mapped = restarted.get_or_build(spec, 3);
+  const testing::AllocStats after = testing::alloc_stats();
+  EXPECT_FALSE(mapped->owns_storage());
+  EXPECT_EQ(restarted.stats().store_hits, 1u);
+  if constexpr (testing::kAllocCountingEnabled) {
+    const std::uint64_t retained = after.live_bytes - before.live_bytes;
+    EXPECT_LT(retained, 4096u) << "of a " << file_bytes << "-byte graph file";
+    EXPECT_LT(retained * 16, file_bytes);
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST(WorkspaceHotPath, UndirectedPipelineSteadyStateIsAllocationFree) {
@@ -307,9 +345,9 @@ TEST(WorkspaceHotPath, UndirectedPipelineSteadyStateIsAllocationFree) {
     }
   };
   sweep();
-  const bench::AllocStats before = bench::alloc_stats();
+  const testing::AllocStats before = testing::alloc_stats();
   sweep();
-  const bench::AllocStats after = bench::alloc_stats();
+  const testing::AllocStats after = testing::alloc_stats();
   EXPECT_EQ(after.allocations, before.allocations);
   EXPECT_EQ(after.live_bytes, before.live_bytes);
 }
@@ -327,9 +365,9 @@ TEST(WorkspaceHotPath, SprankAnalysisSteadyStateIsAllocationFree) {
     for (int r = 0; r < 10; ++r) run_analyze_pipeline_ws(g, config, ws, out);
   };
   sweep();
-  const bench::AllocStats before = bench::alloc_stats();
+  const testing::AllocStats before = testing::alloc_stats();
   sweep();
-  const bench::AllocStats after = bench::alloc_stats();
+  const testing::AllocStats after = testing::alloc_stats();
   EXPECT_EQ(after.allocations, before.allocations);
   EXPECT_EQ(after.live_bytes, before.live_bytes);
   EXPECT_EQ(out.sprank, sprank(g));
@@ -362,12 +400,12 @@ TEST(WorkspaceHotPath, BatchRerunIsByteIdenticalWithZeroAllocatorGrowth) {
   config.seed = 99;
 
   const std::string warm = batch_jsonl(jobs, config);  // warms everything once
-  const bench::AllocStats before = bench::alloc_stats();
+  const testing::AllocStats before = testing::alloc_stats();
   {
     const std::string second = batch_jsonl(jobs, config);
     EXPECT_EQ(second, warm);
   }
-  const bench::AllocStats after = bench::alloc_stats();
+  const testing::AllocStats after = testing::alloc_stats();
   // The second pass allocates only transients (per-job result records, the
   // JSONL string, the worker arenas freed at join): net heap growth is zero.
   EXPECT_EQ(after.live_bytes, before.live_bytes);
