@@ -13,17 +13,6 @@
 
 #include "bench_common.hpp"
 
-namespace {
-
-/// "median [min..max]" of one timing column: a single run on a shared host
-/// varies by more than a typical kernel change, so the spread is printed.
-std::string spread(const bmh::RunStats& s) {
-  return bmh::format_double(s.median(), 4) + " [" + bmh::format_double(s.min(), 4) + ".." +
-         bmh::format_double(s.max(), 4) + "]";
-}
-
-} // namespace
-
 int main() {
   using namespace bmh;
   bench::banner("Ablation — KarpSipserMT vs classic KS vs Hopcroft-Karp on choice subgraphs");
@@ -73,10 +62,10 @@ int main() {
     table.row()
         .add(name)
         .add(format_count(static_cast<std::int64_t>(g.num_rows()) + g.num_cols()))
-        .add(spread(t_ks))
-        .add(spread(t_hk))
-        .add(spread(t_ksmt1))
-        .add(spread(t_ksmtN))
+        .add(bench::spread(t_ks))
+        .add(bench::spread(t_hk))
+        .add(bench::spread(t_ksmt1))
+        .add(bench::spread(t_ksmtN))
         .add(all_exact ? "yes" : "NO — BUG");
   }
   table.print(std::cout,

@@ -49,6 +49,20 @@ double time_geomean(Fn&& fn, int runs, int warmup) {
   return time_runs(fn, runs, warmup).geomean();
 }
 
+/// "median [min..max]" of a timing cell: a single run on a shared host
+/// varies by more than a typical kernel change, so the spread is printed.
+inline std::string spread(const RunStats& s) {
+  return format_double(s.median(), 4) + " [" + format_double(s.min(), 4) + ".." +
+         format_double(s.max(), 4) + "]";
+}
+
+/// "median [min..max]" of the speedup t1 / t, where t1 is the one-thread
+/// median and t ranges over `s`'s runs (the slowest run gives the minimum).
+inline std::string speedup_spread(double t1, const RunStats& s) {
+  return format_double(t1 / s.median(), 2) + " [" + format_double(t1 / s.max(), 2) + ".." +
+         format_double(t1 / s.min(), 2) + "]";
+}
+
 /// Banner shared by all benches.
 inline void banner(const std::string& what) {
   std::cout << "==============================================================\n"

@@ -9,6 +9,7 @@
 /// causes load imbalance.
 
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 
@@ -33,24 +34,26 @@ int main() {
     double t_scale_1 = 0.0, t_one_1 = 0.0;
     for (const int t : threads) {
       ThreadCountGuard guard(t);
-      const double t_scale = bench::time_geomean(
+      const RunStats t_scale = bench::time_runs(
           [&](int) { (void)scale_sinkhorn_knopp(g, {1, 0.0}); }, runs, 1);
       // OneSidedMatch timing includes ScaleSK, as in the paper.
-      const double t_one = bench::time_geomean(
+      const RunStats t_one = bench::time_runs(
           [&](int r) { (void)one_sided_match(g, 1, static_cast<std::uint64_t>(r)); },
           runs, 1);
       if (t == 1) {
-        t_scale_1 = t_scale;
-        t_one_1 = t_one;
+        t_scale_1 = t_scale.median();
+        t_one_1 = t_one.median();
       }
-      scale_table.add(t_scale_1 / t_scale, 2);
-      onesided_table.add(t_one_1 / t_one, 2);
+      scale_table.add(bench::speedup_spread(t_scale_1, t_scale));
+      onesided_table.add(bench::speedup_spread(t_one_1, t_one));
     }
   }
 
-  scale_table.print(std::cout, "(3a) ScaleSK speedup, 1 iteration");
+  const std::string cells = "; speedup over the t=1 median, median [min..max] over " +
+                            std::to_string(runs) + " runs";
+  scale_table.print(std::cout, "(3a) ScaleSK speedup, 1 iteration" + cells);
   std::cout << '\n';
-  onesided_table.print(std::cout, "(3b) OneSidedMatch speedup (includes ScaleSK)");
+  onesided_table.print(std::cout, "(3b) OneSidedMatch speedup (includes ScaleSK)" + cells);
   std::cout << "\npaper shape: near-linear scaling to 8 threads, ~8-11x at 16;\n"
                "worst speedups on the high-degree-variance instances\n"
                "(torso1_like, audikw_1_like).\n";

@@ -7,6 +7,7 @@
 /// the thread count (checked here as well).
 
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 
@@ -40,10 +41,10 @@ int main() {
     vid_t reference_card = -1;
     for (const int t : threads) {
       ThreadCountGuard guard(t);
-      const double t_ksmt = bench::time_geomean(
+      const RunStats t_ksmt = bench::time_runs(
           [&](int) { (void)karp_sipser_mt(g.num_rows(), g.num_cols(), unified); },
           runs, 1);
-      const double t_two = bench::time_geomean(
+      const RunStats t_two = bench::time_runs(
           [&](int r) { (void)two_sided_match(g, 1, static_cast<std::uint64_t>(r)); },
           runs, 1);
       const vid_t card =
@@ -51,17 +52,19 @@ int main() {
       if (reference_card < 0) reference_card = card;
       if (card != reference_card) quality_stable = false;
       if (t == 1) {
-        t_ksmt_1 = t_ksmt;
-        t_two_1 = t_two;
+        t_ksmt_1 = t_ksmt.median();
+        t_two_1 = t_two.median();
       }
-      ksmt_table.add(t_ksmt_1 / t_ksmt, 2);
-      twosided_table.add(t_two_1 / t_two, 2);
+      ksmt_table.add(bench::speedup_spread(t_ksmt_1, t_ksmt));
+      twosided_table.add(bench::speedup_spread(t_two_1, t_two));
     }
   }
 
-  ksmt_table.print(std::cout, "(4a) KarpSipserMT speedup on fixed choice subgraphs");
+  const std::string cells = "; speedup over the t=1 median, median [min..max] over " +
+                            std::to_string(runs) + " runs";
+  ksmt_table.print(std::cout, "(4a) KarpSipserMT speedup on fixed choice subgraphs" + cells);
   std::cout << '\n';
-  twosided_table.print(std::cout, "(4b) TwoSidedMatch speedup (includes ScaleSK)");
+  twosided_table.print(std::cout, "(4b) TwoSidedMatch speedup (includes ScaleSK)" + cells);
   std::cout << "\nmatching cardinality invariant across thread counts: "
             << (quality_stable ? "yes (as the paper requires)" : "NO — BUG") << '\n';
   return quality_stable ? 0 : 1;

@@ -28,6 +28,22 @@ void BM_SinkhornKnoppIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_SinkhornKnoppIteration)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
+// Five iterations, where reusing the error pass's column sums pays (one
+// iteration makes the same sweeps fused or not). Warm workspace, as in the
+// engine, so the timing is the kernel's and not the allocator's.
+void BM_SinkhornKnopp5(benchmark::State& state) {
+  const auto n = static_cast<vid_t>(state.range(0));
+  const BipartiteGraph& g = er_graph(n, 8);
+  Workspace ws;
+  ScalingResult s;
+  for (auto _ : state) {
+    scale_sinkhorn_knopp_ws(g, {5, 0.0}, ws, s);
+    benchmark::DoNotOptimize(s.dr.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_SinkhornKnopp5)->Arg(2048)->Arg(1 << 17);
+
 void BM_RuizIteration(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
@@ -83,6 +99,22 @@ void BM_TwoSidedEndToEnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TwoSidedEndToEnd)->Arg(1 << 17)->Arg(1 << 20);
+
+// TwoSidedMatch at SK-5 on a serve-sized graph: scaling, both samplers
+// (reading SK's totals) and KarpSipserMT.
+void BM_TwoSidedSK5(benchmark::State& state) {
+  const auto n = static_cast<vid_t>(state.range(0));
+  const BipartiteGraph& g = er_graph(n, 8);
+  Workspace ws;
+  Matching m;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    two_sided_match_ws(g, 5, ++seed, nullptr, ws, m);
+    benchmark::DoNotOptimize(m.row_match.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_TwoSidedSK5)->Arg(2048);
 
 void BM_SequentialKarpSipser(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));

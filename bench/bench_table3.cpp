@@ -11,6 +11,7 @@
 /// for the road instances) are the reproduction target.
 
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 
@@ -36,20 +37,20 @@ int main() {
     const double err5 = scale_sinkhorn_knopp(g, {5, 0.0}).error;
     const ScalingResult s10 = scale_sinkhorn_knopp(g, {10, 0.0});
 
-    // Sequential timings, geometric mean with one warmup (paper drops the
-    // first runs of 20; we use a lighter protocol scaled by BMH_REPEATS).
-    const double t_scale =
-        bench::time_geomean([&](int) { (void)scale_sinkhorn_knopp(g, {1, 0.0}); }, runs, 1);
+    // Sequential timings, median [min..max] with one warmup (paper drops
+    // the first runs of 20; we use a lighter protocol scaled by BMH_REPEATS).
+    const RunStats t_scale =
+        bench::time_runs([&](int) { (void)scale_sinkhorn_knopp(g, {1, 0.0}); }, runs, 1);
     const ScalingResult s1 = scale_sinkhorn_knopp(g, {1, 0.0});
-    const double t_one = bench::time_geomean(
+    const RunStats t_one = bench::time_runs(
         [&](int r) { (void)one_sided_from_scaling(g, s1, static_cast<std::uint64_t>(r)); },
         runs, 1);
     const TwoSidedChoices choices = sample_two_sided_choices(g, s1, 7);
     const std::vector<vid_t> unified =
         unify_choices(g.num_rows(), g.num_cols(), choices.rchoice, choices.cchoice);
-    const double t_ksmt = bench::time_geomean(
+    const RunStats t_ksmt = bench::time_runs(
         [&](int) { (void)karp_sipser_mt(g.num_rows(), g.num_cols(), unified); }, runs, 1);
-    const double t_two = bench::time_geomean(
+    const RunStats t_two = bench::time_runs(
         [&](int r) { (void)two_sided_from_scaling(g, s1, static_cast<std::uint64_t>(r)); },
         runs, 1);
 
@@ -62,14 +63,15 @@ int main() {
         .add(err1, 2)
         .add(err5, 2)
         .add(s10.error, 2)
-        .add(t_scale, 3)
-        .add(t_one, 3)
-        .add(t_ksmt, 3)
-        .add(t_two, 3);
+        .add(bench::spread(t_scale))
+        .add(bench::spread(t_one))
+        .add(bench::spread(t_ksmt))
+        .add(bench::spread(t_two));
   }
 
   table.print(std::cout, "suite at scale " + format_double(scale, 2) +
-                             " (paper sizes ~10x larger); single-thread times");
+                             " (paper sizes ~10x larger); single-thread seconds, median "
+                             "[min..max] over " + std::to_string(runs) + " runs");
   std::cout << "\npaper shape: road instances have sprank/n in {0.95, 0.99} and the\n"
                "largest scaling errors; OneSided time ~ ScaleSK + sampling;\n"
                "TwoSided ~ ScaleSK + 2x sampling + KarpSipserMT.\n";

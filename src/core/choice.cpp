@@ -11,11 +11,14 @@ namespace {
 
 /// Inverse-CDF pick over `weights[nbrs[k]]`. Guards against floating-point
 /// drift by falling back to the last neighbour when the walk overshoots.
-/// Writes into `choice` (capacity reused by workspace-leased callers).
-template <typename NeighborsOf>
-void sample_side(vid_t n, NeighborsOf&& neighbors_of,
-                 const std::vector<double>& weight, std::uint64_t seed,
-                 std::uint64_t lane_salt, std::vector<vid_t>& choice) {
+/// Each list's total comes from `totals` when kKnownTotals, else from a sum
+/// over the list. Writes into `choice` (capacity reused by workspace-leased
+/// callers).
+template <bool kKnownTotals, typename NeighborsOf>
+void sample_lists(vid_t n, NeighborsOf&& neighbors_of,
+                  const std::vector<double>& weight, std::span<const double> totals,
+                  std::uint64_t seed, std::uint64_t lane_salt,
+                  std::vector<vid_t>& choice) {
   choice.assign(static_cast<std::size_t>(n), kNil);
   const Rng root(seed);
 #pragma omp parallel for schedule(dynamic, 512)
@@ -24,7 +27,11 @@ void sample_side(vid_t n, NeighborsOf&& neighbors_of,
     if (nbrs.empty()) continue;
     Rng rng = root.fork(lane_salt ^ static_cast<std::uint64_t>(u));
     double total = 0.0;
-    for (const vid_t v : nbrs) total += weight[static_cast<std::size_t>(v)];
+    if constexpr (kKnownTotals) {
+      total = totals[static_cast<std::size_t>(u)];
+    } else {
+      for (const vid_t v : nbrs) total += weight[static_cast<std::size_t>(v)];
+    }
     if (total <= 0.0) {
       // Degenerate multipliers (all zero): fall back to uniform.
       choice[static_cast<std::size_t>(u)] =
@@ -45,6 +52,19 @@ void sample_side(vid_t n, NeighborsOf&& neighbors_of,
   }
 }
 
+/// sample_lists with the totals when given. The choice is made once per
+/// call, not per list, so the summing loop compiles as it did alone.
+template <typename NeighborsOf>
+void sample_side(vid_t n, NeighborsOf&& neighbors_of,
+                 const std::vector<double>& weight, std::span<const double> totals,
+                 std::uint64_t seed, std::uint64_t lane_salt,
+                 std::vector<vid_t>& choice) {
+  if (totals.empty())
+    sample_lists<false>(n, neighbors_of, weight, totals, seed, lane_salt, choice);
+  else
+    sample_lists<true>(n, neighbors_of, weight, totals, seed, lane_salt, choice);
+}
+
 } // namespace
 
 std::vector<vid_t> sample_row_choices(const BipartiteGraph& g,
@@ -56,11 +76,14 @@ std::vector<vid_t> sample_row_choices(const BipartiteGraph& g,
 }
 
 void sample_row_choices(const BipartiteGraph& g, const std::vector<double>& dc,
-                        std::uint64_t seed, std::vector<vid_t>& out) {
+                        std::uint64_t seed, std::vector<vid_t>& out,
+                        std::span<const double> totals) {
   if (dc.size() != static_cast<std::size_t>(g.num_cols()))
     throw std::invalid_argument("sample_row_choices: dc size mismatch");
+  if (!totals.empty() && totals.size() != static_cast<std::size_t>(g.num_rows()))
+    throw std::invalid_argument("sample_row_choices: totals size mismatch");
   sample_side(
-      g.num_rows(), [&](vid_t i) { return g.row_neighbors(i); }, dc, seed,
+      g.num_rows(), [&](vid_t i) { return g.row_neighbors(i); }, dc, totals, seed,
       0x524f575f5349444full /* "ROW_SIDO" salt: row-side lanes */, out);
 }
 
@@ -73,11 +96,14 @@ std::vector<vid_t> sample_col_choices(const BipartiteGraph& g,
 }
 
 void sample_col_choices(const BipartiteGraph& g, const std::vector<double>& dr,
-                        std::uint64_t seed, std::vector<vid_t>& out) {
+                        std::uint64_t seed, std::vector<vid_t>& out,
+                        std::span<const double> totals) {
   if (dr.size() != static_cast<std::size_t>(g.num_rows()))
     throw std::invalid_argument("sample_col_choices: dr size mismatch");
+  if (!totals.empty() && totals.size() != static_cast<std::size_t>(g.num_cols()))
+    throw std::invalid_argument("sample_col_choices: totals size mismatch");
   sample_side(
-      g.num_cols(), [&](vid_t j) { return g.col_neighbors(j); }, dr, seed,
+      g.num_cols(), [&](vid_t j) { return g.col_neighbors(j); }, dr, totals, seed,
       0x434f4c5f53494445ull /* "COL_SIDE" salt: column-side lanes */, out);
 }
 

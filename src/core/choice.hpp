@@ -10,8 +10,14 @@
 /// single prefix-sum walk over the adjacency list: draw r uniform in
 /// (0, rowsum], return the first neighbour where the running sum reaches r
 /// (the inverse-CDF method the paper describes in §3.1).
+///
+/// The walk needs each list's total first. Sinkhorn–Knopp has already
+/// computed it (ScalingResult::row_total / col_total, same values and same
+/// order), so with known totals sampling is one walk up to the pick;
+/// without them each list is summed first and then walked.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
@@ -33,9 +39,15 @@ namespace bmh {
 
 /// Allocation-free variants: the choices land in `out` (capacity reused —
 /// pass a workspace-leased vector). Identical output for the same seed.
+/// `totals`, when not empty, gives each list's weight sum in place of
+/// summing it (one per row for the row side, one per column for the column
+/// side); it must equal the sum taken in adjacency order, as the
+/// ScalingResult totals do, for the choices to stay identical.
 void sample_row_choices(const BipartiteGraph& g, const std::vector<double>& dc,
-                        std::uint64_t seed, std::vector<vid_t>& out);
+                        std::uint64_t seed, std::vector<vid_t>& out,
+                        std::span<const double> totals = {});
 void sample_col_choices(const BipartiteGraph& g, const std::vector<double>& dr,
-                        std::uint64_t seed, std::vector<vid_t>& out);
+                        std::uint64_t seed, std::vector<vid_t>& out,
+                        std::span<const double> totals = {});
 
 } // namespace bmh

@@ -22,7 +22,7 @@ void one_sided_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& sca
                                std::uint64_t seed, Workspace& ws, Matching& out) {
   // Each row's pick; kNil for empty rows.
   std::vector<vid_t>& rchoice = ws.buf<vid_t>("os.rchoice");
-  sample_row_choices(g, scaling.dc, seed, rchoice);
+  sample_row_choices(g, scaling.dc, seed, rchoice, scaling.row_total);
 
   // cmatch[j] <- i for every row pick. Where the paper lets the last racy
   // writer win, a write-max lets the largest row id win: the same column

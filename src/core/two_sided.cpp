@@ -16,8 +16,9 @@ TwoSidedChoices sample_two_sided_choices(const BipartiteGraph& g,
 
 void sample_two_sided_choices_ws(const BipartiteGraph& g, const ScalingResult& scaling,
                                  std::uint64_t seed, TwoSidedChoices& out) {
-  sample_row_choices(g, scaling.dc, seed, out.rchoice);
-  sample_col_choices(g, scaling.dr, seed + 0x9e3779b97f4a7c15ULL, out.cchoice);
+  sample_row_choices(g, scaling.dc, seed, out.rchoice, scaling.row_total);
+  sample_col_choices(g, scaling.dr, seed + 0x9e3779b97f4a7c15ULL, out.cchoice,
+                     scaling.col_total);
 }
 
 Matching two_sided_from_scaling(const BipartiteGraph& g, const ScalingResult& scaling,

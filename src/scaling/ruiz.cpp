@@ -16,6 +16,8 @@ void scale_ruiz_ws(const BipartiteGraph& g, const ScalingOptions& opts, Workspac
                    ScalingResult& out) {
   out.dr.assign(static_cast<std::size_t>(g.num_rows()), 1.0);
   out.dc.assign(static_cast<std::size_t>(g.num_cols()), 1.0);
+  out.row_total.clear();  // Ruiz leaves no sampling totals
+  out.col_total.clear();
   out.iterations = 0;
   out.error = 0.0;
   out.converged = false;

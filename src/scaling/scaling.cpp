@@ -15,6 +15,8 @@ void identity_scaling_ws(const BipartiteGraph& g, Workspace& ws, ScalingResult& 
                          bool compute_error) {
   out.dr.assign(static_cast<std::size_t>(g.num_rows()), 1.0);
   out.dc.assign(static_cast<std::size_t>(g.num_cols()), 1.0);
+  out.row_total.clear();
+  out.col_total.clear();
   out.iterations = 0;
   out.error = compute_error ? scaling_error_ws(g, out, ws) : 0.0;
   out.converged = false;

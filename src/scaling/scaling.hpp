@@ -37,6 +37,16 @@ struct ScalingResult {
   double error = 0.0;      ///< convergence error after the last iteration
   bool converged = false;  ///< error <= tolerance (when tolerance > 0)
 
+  /// Sampling totals, left by Sinkhorn–Knopp for the choice samplers:
+  /// row_total[i] = sum of dc over row i and col_total[j] = sum of dr over
+  /// column j, each summed in adjacency order with the final multipliers, so
+  /// a sampler can use them in place of its own sum and get the same bits.
+  /// Only scale_sinkhorn_knopp_ws writes them; every other producer of a
+  /// ScalingResult leaves them empty, and empty means "sum the list". A
+  /// caller that edits dr or dc must clear both.
+  std::vector<double> row_total;
+  std::vector<double> col_total;
+
   /// Scaled entry s_ij = dr[i] * dc[j]; valid only where a_ij = 1.
   [[nodiscard]] double entry(vid_t i, vid_t j) const noexcept {
     return dr[static_cast<std::size_t>(i)] * dc[static_cast<std::size_t>(j)];
@@ -61,8 +71,8 @@ struct ScalingResult {
                                                   const ScalingResult& s);
 
 /// Allocation-free variants for the batch-serving hot paths: sums land in
-/// `out` (capacity reused), identity_scaling writes into `out`, and
-/// scaling_error leases its two sum vectors from `ws`.
+/// `out` (capacity reused), identity_scaling writes into `out` (with empty
+/// sampling totals), and scaling_error leases its two sum vectors from `ws`.
 void scaled_row_sums(const BipartiteGraph& g, const ScalingResult& s,
                      std::vector<double>& out);
 void scaled_col_sums(const BipartiteGraph& g, const ScalingResult& s,

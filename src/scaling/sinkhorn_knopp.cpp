@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace bmh {
 
@@ -15,6 +16,8 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
                              Workspace& ws, ScalingResult& out) {
   out.dr.assign(static_cast<std::size_t>(g.num_rows()), 1.0);
   out.dc.assign(static_cast<std::size_t>(g.num_cols()), 1.0);
+  out.row_total.clear();
+  out.col_total.clear();
   out.iterations = 0;
   out.error = 0.0;
   out.converged = false;
@@ -26,23 +29,36 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
     out.converged = true;
     return;
   }
+  if (opts.max_iterations <= 0) {
+    if (opts.max_iterations == 0) out.error = scaling_error_ws(g, out, ws);
+    return;
+  }
+
+  std::vector<double>& row_total = out.row_total;
+  std::vector<double>& col_total = out.col_total;
+  row_total.resize(static_cast<std::size_t>(g.num_rows()));
+  col_total.resize(static_cast<std::size_t>(g.num_cols()));
+  // col_total[j] holds the sum of dr over column j for the current dr. With
+  // dr = 1 that sum is the degree, exactly (a sum of ones is exact).
+#pragma omp parallel for schedule(static)
+  for (vid_t j = 0; j < g.num_cols(); ++j)
+    col_total[static_cast<std::size_t>(j)] = static_cast<double>(g.col_degree(j));
 
   for (int it = 0; it < opts.max_iterations; ++it) {
-    // Balance columns: dc[j] <- 1 / (sum of dr over the column's rows).
-#pragma omp parallel for schedule(dynamic, 512)
+    // Balance columns: dc[j] <- 1 / (sum of dr over the column's rows). The
+    // sums are the previous error pass's, made with this dr in this order.
+#pragma omp parallel for schedule(static)
     for (vid_t j = 0; j < g.num_cols(); ++j) {
-      double csum = 0.0;
-      for (const vid_t i : g.col_neighbors(j)) csum += out.dr[static_cast<std::size_t>(i)];
+      const double csum = col_total[static_cast<std::size_t>(j)];
       if (csum > 0.0) out.dc[static_cast<std::size_t>(j)] = 1.0 / csum;
     }
 
-    // Balance rows: dr[i] <- 1 / (sum of dc over the row's columns). The
-    // column-sum error is accumulated in the same sweep's mirror image — we
-    // compute it after the update from the definition to match the paper.
+    // Balance rows: dr[i] <- 1 / (sum of dc over the row's columns).
 #pragma omp parallel for schedule(dynamic, 512)
     for (vid_t i = 0; i < g.num_rows(); ++i) {
       double rsum = 0.0;
       for (const vid_t j : g.row_neighbors(i)) rsum += out.dc[static_cast<std::size_t>(j)];
+      row_total[static_cast<std::size_t>(i)] = rsum;
       if (rsum > 0.0) out.dr[static_cast<std::size_t>(i)] = 1.0 / rsum;
     }
 
@@ -50,12 +66,14 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
 
     // Column sums drifted when the rows were re-balanced; their max
     // deviation from 1 is the convergence error (row sums are exactly 1).
+    // The sums are kept for the next column balance.
     double err = 0.0;
 #pragma omp parallel for schedule(dynamic, 512) reduction(max : err)
     for (vid_t j = 0; j < g.num_cols(); ++j) {
       if (g.col_degree(j) == 0) continue;
       double csum = 0.0;
       for (const vid_t i : g.col_neighbors(j)) csum += out.dr[static_cast<std::size_t>(i)];
+      col_total[static_cast<std::size_t>(j)] = csum;
       err = std::max(err, std::abs(csum * out.dc[static_cast<std::size_t>(j)] - 1.0));
     }
     out.error = err;
@@ -65,8 +83,6 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
       break;
     }
   }
-
-  if (opts.max_iterations == 0) out.error = scaling_error_ws(g, out, ws);
 }
 
 } // namespace bmh

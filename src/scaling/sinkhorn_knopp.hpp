@@ -13,8 +13,16 @@ namespace bmh {
 /// (modulo round-off), so the reported error is the maximum deviation of the
 /// column sums from one.
 ///
+/// Cost: k iterations make 2k sweeps over the edges. The error pass sums dr
+/// over each column, with the final dr and in adjacency order; those sums
+/// are exactly the next column balance's, so that balance is one divide per
+/// column (the first one divides by the degrees, the sums of dr = 1). The
+/// last row sums and column sums are left in row_total/col_total for the
+/// choice samplers.
+///
 /// Empty rows/columns keep multiplier 1 and are excluded from the error.
-/// Edgeless matrices converge immediately (error 0, zero iterations).
+/// Edgeless matrices converge immediately (error 0, zero iterations), and
+/// then, like max_iterations = 0, leave the sampling totals empty.
 [[nodiscard]] ScalingResult scale_sinkhorn_knopp(const BipartiteGraph& g,
                                                  const ScalingOptions& opts = {});
 

@@ -1,16 +1,24 @@
 # Runs COMMAND with ARGS (a ;-separated list) and compares its stdout byte
 # for byte with the file GOLDEN; a non-zero exit or any difference fails.
+# ARGS2, when given, is a second argument list whose output must match the
+# same file (one golden for two settings that must not change the output).
 #
 #   cmake -DCOMMAND=prog "-DARGS=--list" -DGOLDEN=expected.txt \
 #         -P check_golden.cmake
-execute_process(COMMAND ${COMMAND} ${ARGS}
-                OUTPUT_VARIABLE actual
-                RESULT_VARIABLE status)
-if(NOT status EQUAL 0)
-  message(FATAL_ERROR "'${COMMAND} ${ARGS}' exited with ${status}")
-endif()
 file(READ ${GOLDEN} expected)
-if(NOT actual STREQUAL expected)
-  message(FATAL_ERROR "'${COMMAND} ${ARGS}' output differs from ${GOLDEN}; got:\n"
-                      "${actual}")
-endif()
+foreach(args_var ARGS ARGS2)
+  if(NOT DEFINED ${args_var})
+    continue()
+  endif()
+  set(args ${${args_var}})
+  execute_process(COMMAND ${COMMAND} ${args}
+                  OUTPUT_VARIABLE actual
+                  RESULT_VARIABLE status)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR "'${COMMAND} ${args}' exited with ${status}")
+  endif()
+  if(NOT actual STREQUAL expected)
+    message(FATAL_ERROR "'${COMMAND} ${args}' output differs from ${GOLDEN}; got:\n"
+                        "${actual}")
+  endif()
+endforeach()

@@ -102,6 +102,36 @@ TEST(Choice, AllZeroWeightsFallBackToUniform) {
   EXPECT_TRUE(g.has_edge(0, choice[0]));
 }
 
+TEST(Choice, KnownTotalsGiveIdenticalChoices) {
+  // Sinkhorn–Knopp's totals replace the samplers' own sums bit for bit, so
+  // the choices on both sides must not change.
+  for (const BipartiteGraph& g :
+       {make_erdos_renyi(600, 800, 3000, 2), make_power_law(1200, 8.0, 1.5, 4)}) {
+    for (const int k : {1, 5}) {
+      const ScalingResult s = scale_sinkhorn_knopp(g, {k, 0.0});
+      ASSERT_EQ(s.row_total.size(), static_cast<std::size_t>(g.num_rows()));
+      ASSERT_EQ(s.col_total.size(), static_cast<std::size_t>(g.num_cols()));
+      for (const std::uint64_t seed : {1u, 17u, 99u}) {
+        std::vector<vid_t> summed, known;
+        sample_row_choices(g, s.dc, seed, summed);
+        sample_row_choices(g, s.dc, seed, known, s.row_total);
+        EXPECT_EQ(known, summed) << "rows k=" << k << " seed=" << seed;
+        sample_col_choices(g, s.dr, seed, summed);
+        sample_col_choices(g, s.dr, seed, known, s.col_total);
+        EXPECT_EQ(known, summed) << "cols k=" << k << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(Choice, TotalsSizeMismatchThrows) {
+  const BipartiteGraph g = graph_from_rows(2, 3, {{0}, {1, 2}});
+  const std::vector<double> dr(2, 1.0), dc(3, 1.0), wrong(4, 1.0);
+  std::vector<vid_t> out;
+  EXPECT_THROW(sample_row_choices(g, dc, 1, out, wrong), std::invalid_argument);
+  EXPECT_THROW(sample_col_choices(g, dr, 1, out, wrong), std::invalid_argument);
+}
+
 TEST(Choice, SizeMismatchThrows) {
   const BipartiteGraph g = graph_from_rows(2, 2, {{0}, {1}});
   const std::vector<double> wrong(3, 1.0);

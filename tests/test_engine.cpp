@@ -351,7 +351,7 @@ std::vector<JobResult> run_fresh(const std::vector<JobSpec>& jobs,
   return engine.run_collect(jobs);
 }
 
-TEST(BatchRunner, ResultsIndependentOfWorkerCount) {
+TEST(EngineBatch, ResultsIndependentOfWorkerCount) {
   const std::vector<JobSpec> jobs = small_batch();
   EngineConfig base;
   base.seed = 123;
@@ -374,7 +374,7 @@ TEST(BatchRunner, ResultsIndependentOfWorkerCount) {
   }
 }
 
-TEST(BatchRunner, SeedChangesResults) {
+TEST(EngineBatch, SeedChangesResults) {
   const std::vector<JobSpec> jobs = small_batch();
   EngineConfig a, b;
   a.seed = 1;
@@ -387,7 +387,7 @@ TEST(BatchRunner, SeedChangesResults) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(BatchRunner, FailingJobDoesNotAbortTheBatch) {
+TEST(EngineBatch, FailingJobDoesNotAbortTheBatch) {
   std::istringstream in(
       "input=gen:cycle:n=64 algo=greedy\n"
       "input=mtx:/nonexistent/file.mtx\n"
@@ -401,7 +401,7 @@ TEST(BatchRunner, FailingJobDoesNotAbortTheBatch) {
   EXPECT_NE(results[2].error.find("nope"), std::string::npos);
 }
 
-TEST(BatchRunner, DemoBatchRunsClean) {
+TEST(EngineBatch, DemoBatchRunsClean) {
   const std::vector<JobSpec> jobs = demo_batch();
   EXPECT_GE(jobs.size(), 8u);
   EngineConfig config;

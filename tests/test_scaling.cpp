@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "analysis/dulmage_mendelsohn.hpp"
 #include "graph/builder.hpp"
@@ -13,6 +15,7 @@
 #include "scaling/ruiz.hpp"
 #include "scaling/scaling.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
+#include "util/threading.hpp"
 
 namespace bmh {
 namespace {
@@ -216,6 +219,106 @@ TEST_P(ScalingIterationSweep, ErrorWithinTheoryBoundForErdosRenyi) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Iterations, ScalingIterationSweep, ::testing::Values(1, 2, 5, 10, 20));
+
+/// Sinkhorn–Knopp as three sweeps per iteration (column balance, row
+/// balance, error pass), each summing its lists from scratch: the oracle
+/// for the fused kernel, which reuses the error pass's sums.
+ScalingResult three_sweep_sinkhorn_knopp(const BipartiteGraph& g, const ScalingOptions& o) {
+  ScalingResult r;
+  r.dr.assign(static_cast<std::size_t>(g.num_rows()), 1.0);
+  r.dc.assign(static_cast<std::size_t>(g.num_cols()), 1.0);
+  if (g.num_edges() == 0) {
+    r.converged = true;
+    return r;
+  }
+  for (int it = 0; it < o.max_iterations; ++it) {
+    for (vid_t j = 0; j < g.num_cols(); ++j) {
+      double csum = 0.0;
+      for (const vid_t i : g.col_neighbors(j)) csum += r.dr[static_cast<std::size_t>(i)];
+      if (csum > 0.0) r.dc[static_cast<std::size_t>(j)] = 1.0 / csum;
+    }
+    for (vid_t i = 0; i < g.num_rows(); ++i) {
+      double rsum = 0.0;
+      for (const vid_t j : g.row_neighbors(i)) rsum += r.dc[static_cast<std::size_t>(j)];
+      if (rsum > 0.0) r.dr[static_cast<std::size_t>(i)] = 1.0 / rsum;
+    }
+    r.iterations = it + 1;
+    double err = 0.0;
+    for (vid_t j = 0; j < g.num_cols(); ++j) {
+      if (g.col_degree(j) == 0) continue;
+      double csum = 0.0;
+      for (const vid_t i : g.col_neighbors(j)) csum += r.dr[static_cast<std::size_t>(i)];
+      err = std::max(err, std::abs(csum * r.dc[static_cast<std::size_t>(j)] - 1.0));
+    }
+    r.error = err;
+    if (o.tolerance > 0.0 && err <= o.tolerance) {
+      r.converged = true;
+      break;
+    }
+  }
+  return r;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(SinkhornKnopp, FusedSweepsMatchThreeSweepReference) {
+  const std::vector<std::pair<const char*, BipartiteGraph>> graphs = {
+      {"empty rows and columns", graph_from_rows(5, 7, {{0, 2}, {}, {0, 2, 6}, {2}, {}})},
+      {"edgeless", graph_from_rows(3, 4, {{}, {}, {}})},
+      {"erdos-renyi", make_erdos_renyi(700, 900, 2800, 3)},
+      {"power-law", make_power_law(1500, 8.0, 1.5, 5)},
+  };
+  for (const auto& [name, g] : graphs) {
+    for (const int k : {1, 2, 5, 10}) {
+      // Tolerance 0 runs all k iterations; the oracle's error after two
+      // iterations as the tolerance makes k > 2 exit early at two.
+      const double early = three_sweep_sinkhorn_knopp(g, {2, 0.0}).error;
+      for (const double tol : {0.0, early}) {
+        const ScalingOptions o{k, tol};
+        const ScalingResult ref = three_sweep_sinkhorn_knopp(g, o);
+        for (const int threads : {1, 4}) {
+          const ThreadCountGuard guard(threads);
+          const ScalingResult r = scale_sinkhorn_knopp(g, o);
+          SCOPED_TRACE(std::string(name) + " k=" + std::to_string(k) +
+                       " tol=" + std::to_string(tol) + " t=" + std::to_string(threads));
+          EXPECT_TRUE(same_bits(r.dr, ref.dr));
+          EXPECT_TRUE(same_bits(r.dc, ref.dc));
+          EXPECT_EQ(r.error, ref.error);
+          EXPECT_EQ(r.iterations, ref.iterations);
+          EXPECT_EQ(r.converged, ref.converged);
+          if (g.num_edges() == 0) {
+            EXPECT_TRUE(r.row_total.empty());
+            EXPECT_TRUE(r.col_total.empty());
+            continue;
+          }
+          // The totals are the samplers' sums: adjacency order, final
+          // multipliers, same bits.
+          std::vector<double> rows(static_cast<std::size_t>(g.num_rows()), 0.0);
+          std::vector<double> cols(static_cast<std::size_t>(g.num_cols()), 0.0);
+          for (vid_t i = 0; i < g.num_rows(); ++i)
+            for (const vid_t j : g.row_neighbors(i))
+              rows[static_cast<std::size_t>(i)] += r.dc[static_cast<std::size_t>(j)];
+          for (vid_t j = 0; j < g.num_cols(); ++j)
+            for (const vid_t i : g.col_neighbors(j))
+              cols[static_cast<std::size_t>(j)] += r.dr[static_cast<std::size_t>(i)];
+          EXPECT_TRUE(same_bits(r.row_total, rows));
+          EXPECT_TRUE(same_bits(r.col_total, cols));
+        }
+      }
+    }
+  }
+}
+
+TEST(SinkhornKnopp, NoIterationLeavesNoTotals) {
+  const BipartiteGraph g = make_erdos_renyi(50, 60, 300, 1);
+  const ScalingResult r = scale_sinkhorn_knopp(g, iters(0));
+  EXPECT_TRUE(r.row_total.empty());
+  EXPECT_TRUE(r.col_total.empty());
+  EXPECT_EQ(r.error, identity_scaling(g).error);
+}
 
 } // namespace
 } // namespace bmh

@@ -203,6 +203,50 @@ TEST(WorkspaceParity, PipelineMatchesClassicEntryPoint) {
   }
 }
 
+TEST(WorkspaceHotPath, ScalingTotalsNeverLeakAcrossJobs) {
+  // Sinkhorn–Knopp leaves sampling totals in the workspace's ScalingResult;
+  // a later job that scales otherwise (or not at all) must not sample with
+  // them. One workspace runs the sequence; each record must equal the one a
+  // fresh workspace gives.
+  const BipartiteGraph big = make_erdos_renyi(1024, 1024, 6144, 21);
+  const BipartiteGraph small = make_power_law(600, 6.0, 1.5, 22);
+  struct Step {
+    const BipartiteGraph* g;
+    ScalingMethod scaling;
+    int iterations;
+  };
+  // Every step that leaves no totals follows an SK step on the same graph.
+  const Step steps[] = {{&big, ScalingMethod::kSinkhornKnopp, 5},
+                        {&big, ScalingMethod::kRuiz, 5},
+                        {&big, ScalingMethod::kSinkhornKnopp, 5},
+                        {&big, ScalingMethod::kNone, 5},
+                        {&big, ScalingMethod::kSinkhornKnopp, 5},
+                        {&big, ScalingMethod::kSinkhornKnopp, 0},
+                        {&small, ScalingMethod::kSinkhornKnopp, 3}};
+  for (const char* algo : {"two_sided", "one_sided"}) {
+    Workspace shared;
+    PipelineResult out;
+    for (const Step& step : steps) {
+      PipelineConfig config;
+      config.algorithm = algo;
+      config.scaling = step.scaling;
+      config.scaling_iterations = step.iterations;
+      config.options.seed = 5;
+      run_pipeline_ws(*step.g, config, shared, out);
+      Workspace fresh_ws;
+      PipelineResult fresh;
+      run_pipeline_ws(*step.g, config, fresh_ws, fresh);
+      const std::string where = std::string(algo) + " " + to_string(step.scaling) +
+                                " iters=" + std::to_string(step.iterations);
+      EXPECT_EQ(out.matching.row_match, fresh.matching.row_match) << where;
+      EXPECT_EQ(out.cardinality, fresh.cardinality) << where;
+      EXPECT_EQ(out.quality, fresh.quality) << where;
+      EXPECT_EQ(out.scaling_iterations, fresh.scaling_iterations) << where;
+      EXPECT_EQ(out.scaling_error, fresh.scaling_error) << where;
+    }
+  }
+}
+
 // ------------------------------------------- allocation-freedom proofs ---
 
 TEST(WorkspaceHotPath, KernelSteadyStateIsAllocationFree) {
