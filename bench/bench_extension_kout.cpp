@@ -23,11 +23,11 @@ int main() {
     const vid_t rank = sprank(g);
     const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
 
-    Table table({"k", "subgraph edges", "min quality", "time s"});
+    Table table({"k", "subgraph edges", "min quality", "time s, median [min..max]"});
     for (const int k : {1, 2, 3, 4}) {
       vid_t worst = g.num_rows();
       const BipartiteGraph sub = k_out_subgraph(g, s, k, 3);
-      const double t = bench::time_geomean(
+      const RunStats t = bench::time_runs(
           [&](int r) {
             const BipartiteGraph sg = k_out_subgraph(g, s, k, static_cast<std::uint64_t>(r));
             worst = std::min(worst, hopcroft_karp(sg).cardinality());
@@ -37,7 +37,7 @@ int main() {
           .add(k)
           .add(format_count(sub.num_edges()))
           .add(static_cast<double>(worst) / static_cast<double>(rank), 4)
-          .add(t, 3);
+          .add(bench::spread(t));
     }
     table.print(std::cout, std::string(kind) + " instance, n=" + std::to_string(n) +
                                ", sprank=" + std::to_string(rank));

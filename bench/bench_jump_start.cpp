@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 
@@ -79,7 +80,7 @@ int main() {
         .add(matching_quality(warm, optimum), 4)
         .add(run.seconds, 3);
     for (const auto& solver : solvers) {
-      const double t = bench::time_geomean(
+      const RunStats t = bench::time_runs(
           [&](int) {
             const Matching exact = solver.solve(warm);
             if (exact.cardinality() != optimum) {
@@ -89,10 +90,11 @@ int main() {
             }
           },
           runs, 0);
-      table.add(t, 3);
+      table.add(bench::spread(t));
     }
   }
-  table.print(std::cout, "solve-to-optimal time per initialization (seconds)");
+  table.print(std::cout, "solve-to-optimal time per initialization (seconds; solver "
+                         "columns median [min..max] over " + std::to_string(runs) + " runs)");
   std::cout << "\nexpected shape: better init quality shortens every solver's\n"
                "solve time; two-sided(5) leaves the least augmentation work.\n";
   return 0;

@@ -13,9 +13,13 @@
 ///
 /// The walk needs each list's total first. Sinkhorn–Knopp has already
 /// computed it (ScalingResult::row_total / col_total, same values and same
-/// order), so with known totals sampling is one walk up to the pick;
-/// without them each list is summed first and then walked.
+/// order), so with known totals sampling is one walk up to the pick (to the
+/// end, without branching, for lists shorter than kSweepDegreeCap); without
+/// them each list is summed first and then walked. Lists are visited in the
+/// graph's sweep schedule; every list draws from its own forked stream, so
+/// the visiting order changes no choice.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,6 +28,39 @@
 #include "scaling/scaling.hpp"
 
 namespace bmh {
+
+namespace detail {
+
+/// The inverse-CDF pick for a draw r in (0, total]: the first neighbour
+/// whose running weight sum reaches r, or the last one when rounding leaves
+/// every sum short of r.
+[[nodiscard]] inline vid_t early_exit_pick(std::span<const vid_t> nbrs,
+                                           const std::vector<double>& weight, double r) {
+  double acc = 0.0;
+  for (const vid_t v : nbrs) {
+    acc += weight[static_cast<std::size_t>(v)];
+    if (acc >= r) return v;
+  }
+  return nbrs.back();
+}
+
+/// The same pick with no data-dependent branch, for short lists whose
+/// length the sweep schedule makes predictable. The running sum never
+/// decreases (weights >= 0), so the first k with acc_k >= r is the count of
+/// k with !(acc_k >= r), clamped to the last index. A NaN r (a NaN weight
+/// makes the total NaN) picks the last neighbour in both.
+[[nodiscard]] inline vid_t branchless_pick(std::span<const vid_t> nbrs,
+                                           const std::vector<double>& weight, double r) {
+  double acc = 0.0;
+  std::size_t below = 0;
+  for (const vid_t v : nbrs) {
+    acc += weight[static_cast<std::size_t>(v)];
+    below += static_cast<std::size_t>(!(acc >= r));
+  }
+  return nbrs[std::min(below, nbrs.size() - 1)];
+}
+
+} // namespace detail
 
 /// One column choice per row, sampled ∝ dc over each row's neighbours.
 /// Rows with no neighbours get kNil. Deterministic in (graph, dc, seed) and

@@ -1,6 +1,7 @@
 #include "graph/bipartite_graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <stdexcept>
 #include <utility>
@@ -114,6 +115,7 @@ BipartiteGraph::BipartiteGraph(BipartiteGraph&& other) noexcept
       storage_(std::move(other.storage_)),
       sprank_memo_(other.known_sprank()) {
   rebind_views();
+  other.forget_schedules();
   // Leave the source a valid empty graph rather than with dangling views
   // (vectors empty, exactly like a moved-from vector member used to be;
   // nothing here may allocate, this constructor is noexcept).
@@ -131,6 +133,7 @@ BipartiteGraph& BipartiteGraph::operator=(const BipartiteGraph& other) {
     storage_ = other.storage_;
     rebind_views();
     remember_sprank(other.known_sprank());
+    forget_schedules();
   }
   return *this;
 }
@@ -142,6 +145,8 @@ BipartiteGraph& BipartiteGraph::operator=(BipartiteGraph&& other) noexcept {
     storage_ = std::move(other.storage_);
     rebind_views();
     remember_sprank(other.known_sprank());
+    forget_schedules();
+    other.forget_schedules();
     other.num_rows_ = 0;
     other.num_cols_ = 0;
     other.storage_.emplace<OwnedStorage>();
@@ -149,6 +154,42 @@ BipartiteGraph& BipartiteGraph::operator=(BipartiteGraph&& other) noexcept {
     other.remember_sprank(kNil);
   }
   return *this;
+}
+
+std::span<const vid_t> BipartiteGraph::schedule(SweepSchedule& s, vid_t n,
+                                                std::span<const eid_t> ptr) const {
+  // Acquire pairs with the release below: a reader that sees `ready` sees
+  // the finished order.
+  if (!s.ready.load(std::memory_order_acquire)) {
+    const LockGuard lock(schedule_mutex_);
+    if (!s.ready.load(std::memory_order_relaxed)) {
+      // A stable counting sort of each block on min(degree, cap).
+      s.order.resize(static_cast<std::size_t>(n));
+#pragma omp parallel for schedule(static)
+      for (vid_t b = 0; b < sweep_block_count(n); ++b) {
+        const vid_t first = b * kSweepBlock;
+        const vid_t last = std::min(n, first + kSweepBlock);
+        const auto key = [&](vid_t v) {
+          return static_cast<std::size_t>(std::min(ptr[v + 1] - ptr[v], kSweepDegreeCap));
+        };
+        std::array<vid_t, kSweepDegreeCap + 2> slot{};
+        for (vid_t v = first; v < last; ++v) ++slot[key(v) + 1];
+        slot[0] = first;
+        for (std::size_t k = 1; k < slot.size(); ++k) slot[k] += slot[k - 1];
+        for (vid_t v = first; v < last; ++v) s.order[static_cast<std::size_t>(slot[key(v)]++)] = v;
+      }
+      // Release publishes the order to the lock-free readers above.
+      s.ready.store(true, std::memory_order_release);
+    }
+  }
+  return s.order;
+}
+
+void BipartiteGraph::forget_schedules() noexcept {
+  for (SweepSchedule* s : {&row_schedule_, &col_schedule_}) {
+    s->ready.store(false, std::memory_order_relaxed);
+    s->order.clear();
+  }
 }
 
 std::size_t BipartiteGraph::memory_bytes() const noexcept {
@@ -174,6 +215,7 @@ void BipartiteGraph::assign_csr(vid_t num_rows, vid_t num_cols,
   col_ptr_ = {};
   row_idx_ = {};
   remember_sprank(kNil);  // new edges, unknown rank (pooled graphs are reused)
+  forget_schedules();
   if (!owns_storage()) {
     // The input spans may alias this graph's own mapped storage (the
     // natural g.assign_csr(..., g.row_ptr(), g.col_idx()) conversion

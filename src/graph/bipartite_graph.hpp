@@ -12,11 +12,12 @@
 ///
 /// The structure is immutable after construction; all algorithms treat it as
 /// read-only shared state, which is what makes the OpenMP parallelism in
-/// this library race-free by construction. The one exception is a memo of
-/// the graph's structural rank (`known_sprank` / `remember_sprank`): an
-/// atomic slot a const graph may fill once its exact optimum is known, so a
-/// graph shared by many jobs is solved at most once. Filling it changes no
-/// edge and no view of the edges.
+/// this library race-free by construction. The exceptions are two memos a
+/// const graph may fill, neither of which changes an edge or a view of the
+/// edges: its structural rank (`known_sprank` / `remember_sprank`), an
+/// atomic slot filled once its exact optimum is known, so a graph shared by
+/// many jobs is solved at most once; and the sweep schedules
+/// (`row_schedule` / `col_schedule`), built on first use.
 ///
 /// Storage is pluggable: the four CSR/CSC arrays are `std::span` views over
 /// either heap vectors owned by the graph (every constructed or assigned
@@ -28,6 +29,7 @@
 /// operations (`assign_csr`) convert an externally backed graph to owned
 /// storage first, so the immutable mapped bytes are never written.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -35,9 +37,30 @@
 #include <variant>
 #include <vector>
 
+#include "util/thread_annotations.hpp"
 #include "util/types.hpp"
 
 namespace bmh {
+
+/// Vertices per sweep block: the unit of work the scheduled kernels hand to
+/// OpenMP (`schedule(dynamic, 1)` over blocks).
+inline constexpr vid_t kSweepBlock = 512;
+
+/// Degrees at or above this cap sort as one class at a block's tail; one
+/// mispredicted loop exit per list is already amortised over such lists.
+inline constexpr eid_t kSweepDegreeCap = 16;
+
+/// The number of sweep blocks over `n` vertices.
+[[nodiscard]] constexpr vid_t sweep_block_count(vid_t n) noexcept {
+  return (n + kSweepBlock - 1) / kSweepBlock;
+}
+
+/// Block `b` of a sweep schedule: its vertices, in sweep order.
+[[nodiscard]] inline std::span<const vid_t> sweep_block(std::span<const vid_t> schedule,
+                                                        vid_t b) noexcept {
+  const auto begin = static_cast<std::size_t>(b) * kSweepBlock;
+  return schedule.subspan(begin, std::min<std::size_t>(kSweepBlock, schedule.size() - begin));
+}
 
 class BipartiteGraph {
 public:
@@ -153,6 +176,24 @@ public:
     sprank_memo_.store(sprank, std::memory_order_relaxed);
   }
 
+  /// The sweep schedules: every row (column) id once, block by block of
+  /// kSweepBlock ids, each block holding the same ids as the natural order
+  /// but sorted by min(degree, kSweepDegreeCap), stably. Sweeping lists of
+  /// equal length back to back makes each list's loop exit predictable; a
+  /// kernel that still sums every list in adjacency order computes the
+  /// same bits as a natural-order sweep. Built on first use (4 bytes per
+  /// vertex per side, not counted by memory_bytes), at most once per graph
+  /// object even when several threads ask at once; never built at load.
+  /// Copies and moves do not carry it (the new owner builds its own), and
+  /// assign_csr, assignment and being moved from drop it, keeping the
+  /// buffer's capacity for the pooled rebuild path.
+  [[nodiscard]] std::span<const vid_t> row_schedule() const {
+    return schedule(row_schedule_, num_rows_, row_ptr_);
+  }
+  [[nodiscard]] std::span<const vid_t> col_schedule() const {
+    return schedule(col_schedule_, num_cols_, col_ptr_);
+  }
+
   /// True iff edge (i, j) exists. O(deg) scan; intended for tests/examples.
   [[nodiscard]] bool has_edge(vid_t i, vid_t j) const noexcept;
 
@@ -174,6 +215,16 @@ private:
     std::vector<vid_t> row_idx;
   };
 
+  /// One side's lazily built sweep order; `ready` publishes `order`.
+  struct SweepSchedule {
+    std::vector<vid_t> order;
+    std::atomic<bool> ready;  // starts false: C++20 value-initializes atomics
+  };
+
+  std::span<const vid_t> schedule(SweepSchedule& s, vid_t n, std::span<const eid_t> ptr) const;
+  /// Drops both schedules (capacity kept). Needs exclusive access.
+  void forget_schedules() noexcept;
+
   static void validate_csr(vid_t num_rows, vid_t num_cols,
                            std::span<const eid_t> row_ptr,
                            std::span<const vid_t> col_idx);
@@ -194,6 +245,9 @@ private:
   std::span<const eid_t> col_ptr_;
   std::span<const vid_t> row_idx_;
   mutable std::atomic<vid_t> sprank_memo_{kNil};
+  mutable SweepSchedule row_schedule_;
+  mutable SweepSchedule col_schedule_;
+  mutable Mutex schedule_mutex_;  // serializes first builds
 };
 
 } // namespace bmh

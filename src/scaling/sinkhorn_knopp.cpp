@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 namespace bmh {
@@ -44,6 +45,14 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
   for (vid_t j = 0; j < g.num_cols(); ++j)
     col_total[static_cast<std::size_t>(j)] = static_cast<double>(g.col_degree(j));
 
+  // The row and error sweeps visit each block's lists in degree order (see
+  // BipartiteGraph::row_schedule); each list is still summed in adjacency
+  // order, so every sum has the natural-order sweep's bits.
+  const std::span<const vid_t> row_order = g.row_schedule();
+  const std::span<const vid_t> col_order = g.col_schedule();
+  const vid_t row_blocks = sweep_block_count(g.num_rows());
+  const vid_t col_blocks = sweep_block_count(g.num_cols());
+
   for (int it = 0; it < opts.max_iterations; ++it) {
     // Balance columns: dc[j] <- 1 / (sum of dr over the column's rows). The
     // sums are the previous error pass's, made with this dr in this order.
@@ -54,13 +63,14 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
     }
 
     // Balance rows: dr[i] <- 1 / (sum of dc over the row's columns).
-#pragma omp parallel for schedule(dynamic, 512)
-    for (vid_t i = 0; i < g.num_rows(); ++i) {
-      double rsum = 0.0;
-      for (const vid_t j : g.row_neighbors(i)) rsum += out.dc[static_cast<std::size_t>(j)];
-      row_total[static_cast<std::size_t>(i)] = rsum;
-      if (rsum > 0.0) out.dr[static_cast<std::size_t>(i)] = 1.0 / rsum;
-    }
+#pragma omp parallel for schedule(dynamic, 1)
+    for (vid_t b = 0; b < row_blocks; ++b)
+      for (const vid_t i : sweep_block(row_order, b)) {
+        double rsum = 0.0;
+        for (const vid_t j : g.row_neighbors(i)) rsum += out.dc[static_cast<std::size_t>(j)];
+        row_total[static_cast<std::size_t>(i)] = rsum;
+        if (rsum > 0.0) out.dr[static_cast<std::size_t>(i)] = 1.0 / rsum;
+      }
 
     out.iterations = it + 1;
 
@@ -68,14 +78,15 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
     // deviation from 1 is the convergence error (row sums are exactly 1).
     // The sums are kept for the next column balance.
     double err = 0.0;
-#pragma omp parallel for schedule(dynamic, 512) reduction(max : err)
-    for (vid_t j = 0; j < g.num_cols(); ++j) {
-      if (g.col_degree(j) == 0) continue;
-      double csum = 0.0;
-      for (const vid_t i : g.col_neighbors(j)) csum += out.dr[static_cast<std::size_t>(i)];
-      col_total[static_cast<std::size_t>(j)] = csum;
-      err = std::max(err, std::abs(csum * out.dc[static_cast<std::size_t>(j)] - 1.0));
-    }
+#pragma omp parallel for schedule(dynamic, 1) reduction(max : err)
+    for (vid_t b = 0; b < col_blocks; ++b)
+      for (const vid_t j : sweep_block(col_order, b)) {
+        if (g.col_degree(j) == 0) continue;
+        double csum = 0.0;
+        for (const vid_t i : g.col_neighbors(j)) csum += out.dr[static_cast<std::size_t>(i)];
+        col_total[static_cast<std::size_t>(j)] = csum;
+        err = std::max(err, std::abs(csum * out.dc[static_cast<std::size_t>(j)] - 1.0));
+      }
     out.error = err;
 
     if (opts.tolerance > 0.0 && err <= opts.tolerance) {

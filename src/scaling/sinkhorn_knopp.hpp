@@ -20,6 +20,12 @@ namespace bmh {
 /// last row sums and column sums are left in row_total/col_total for the
 /// choice samplers.
 ///
+/// The row sweep and the error pass visit the lists through the graph's
+/// sweep schedules (BipartiteGraph::row_schedule / col_schedule): degree
+/// order inside each 512-vertex block, so a list's loop exit is predictable.
+/// Every list is summed in adjacency order, so the multipliers, totals and
+/// error have the natural-order sweep's bits at any thread count.
+///
 /// Empty rows/columns keep multiplier 1 and are excluded from the error.
 /// Edgeless matrices converge immediately (error 0, zero iterations), and
 /// then, like max_iterations = 0, leave the sampling totals empty.
@@ -27,7 +33,8 @@ namespace bmh {
                                                  const ScalingOptions& opts = {});
 
 /// Workspace-aware variant: the multipliers are written into `out` (whose
-/// vectors' capacity is reused), so a warm call performs no heap allocation.
+/// vectors' capacity is reused), so a warm call performs no heap allocation
+/// (the first call on a graph object builds its sweep schedules).
 void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts,
                              Workspace& ws, ScalingResult& out);
 

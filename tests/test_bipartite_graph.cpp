@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -199,6 +202,96 @@ TEST(BipartiteGraphSprankMemo, AssignCsrClearsTheMemo) {
   builder.build_into(g);
   EXPECT_EQ(g.num_rows(), 3);
   EXPECT_EQ(g.known_sprank(), kNil);
+}
+
+// ------------------------------------------------------- sweep schedules ---
+
+/// The schedule a side should have: each block of kSweepBlock ids, stably
+/// sorted by min(degree, kSweepDegreeCap).
+std::vector<vid_t> expected_schedule(vid_t n, const std::function<eid_t(vid_t)>& degree) {
+  std::vector<vid_t> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  for (std::size_t first = 0; first < order.size(); first += kSweepBlock) {
+    const std::size_t last = std::min(order.size(), first + kSweepBlock);
+    std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(first),
+                     order.begin() + static_cast<std::ptrdiff_t>(last), [&](vid_t a, vid_t b) {
+                       return std::min(degree(a), kSweepDegreeCap) <
+                              std::min(degree(b), kSweepDegreeCap);
+                     });
+  }
+  return order;
+}
+
+void expect_schedules_of(const BipartiteGraph& g) {
+  const auto rows = g.row_schedule();
+  const auto cols = g.col_schedule();
+  EXPECT_EQ(std::vector<vid_t>(rows.begin(), rows.end()),
+            expected_schedule(g.num_rows(), [&](vid_t i) { return g.row_degree(i); }));
+  EXPECT_EQ(std::vector<vid_t>(cols.begin(), cols.end()),
+            expected_schedule(g.num_cols(), [&](vid_t j) { return g.col_degree(j); }));
+}
+
+TEST(BipartiteGraph, SweepScheduleLifecycle) {
+  for (const auto& [name, graph] : testing::sweep_schedule_graphs()) {
+    SCOPED_TRACE(name);
+    expect_schedules_of(graph);
+  }
+
+  // Built once: later calls serve the same buffer.
+  const BipartiteGraph g = make_power_law(1500, 8.0, 1.8, 5);
+  const auto first = g.row_schedule();
+  EXPECT_EQ(g.row_schedule().data(), first.data());
+  EXPECT_EQ(g.col_schedule().data(), g.col_schedule().data());
+
+  // A copy serves its own schedule of the same edges.
+  const BipartiteGraph copied(g);
+  EXPECT_NE(copied.row_schedule().data(), first.data());
+  expect_schedules_of(copied);
+
+  // Assignment replaces a schedule built for other edges.
+  BipartiteGraph target = make_erdos_renyi(900, 700, 2000, 1);
+  expect_schedules_of(target);
+  target = g;
+  expect_schedules_of(target);
+  BipartiteGraph moved_from = make_erdos_renyi(600, 800, 9000, 4);
+  expect_schedules_of(moved_from);
+  target = std::move(moved_from);
+  expect_schedules_of(target);
+  EXPECT_TRUE(moved_from.row_schedule().empty());
+  EXPECT_TRUE(moved_from.col_schedule().empty());
+  BipartiteGraph move_constructed(std::move(target));
+  expect_schedules_of(move_constructed);
+  EXPECT_TRUE(target.row_schedule().empty());
+
+  // Pooled reassignment (assign_csr, GraphBuilder::build_into) drops it:
+  // same shape, other degrees.
+  BipartiteGraph pooled = graph_from_rows(3, 3, {{0}, {0, 1, 2}, {}});
+  expect_schedules_of(pooled);
+  const std::vector<eid_t> row_ptr{0, 3, 3, 4};
+  const std::vector<vid_t> col_idx{0, 1, 2, 2};
+  pooled.assign_csr(3, 3, row_ptr, col_idx);
+  expect_schedules_of(pooled);
+  GraphBuilder builder(1030, 1030);
+  for (vid_t i = 0; i < 1030; ++i)
+    for (vid_t d = 0; d < i % 23; ++d) builder.add_edge(i, (i + d * 41) % 1030);
+  builder.build_into(pooled);
+  expect_schedules_of(pooled);
+
+  // Eight threads racing on first use all get the one finished schedule.
+  const BipartiteGraph shared = make_power_law(5000, 8.0, 1.8, 9);
+  std::vector<const vid_t*> rows_seen(8), cols_seen(8);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 8; ++t)
+    threads.emplace_back([&, t] {
+      rows_seen[t] = (t % 2 == 0 ? shared.row_schedule() : shared.col_schedule()).data();
+      cols_seen[t] = (t % 2 == 0 ? shared.col_schedule() : shared.row_schedule()).data();
+    });
+  for (std::thread& t : threads) t.join();
+  for (std::size_t t = 0; t < 8; ++t) {
+    EXPECT_EQ(t % 2 == 0 ? rows_seen[t] : cols_seen[t], shared.row_schedule().data());
+    EXPECT_EQ(t % 2 == 0 ? cols_seen[t] : rows_seen[t], shared.col_schedule().data());
+  }
+  expect_schedules_of(shared);
 }
 
 } // namespace

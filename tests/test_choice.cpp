@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/choice.hpp"
@@ -121,6 +123,62 @@ TEST(Choice, KnownTotalsGiveIdenticalChoices) {
         EXPECT_EQ(known, summed) << "cols k=" << k << " seed=" << seed;
       }
     }
+  }
+}
+
+TEST(Choice, ShortWalkMatchesEarlyExitWalk) {
+  // The branch-free walk must pick what the early-exit walk picks: lists of
+  // every length 1..17, weights with zeros at the front, inside and at the
+  // end, and draws exactly at every running sum (acc == r ties), one ulp
+  // either side of it, just above 0, at and past the total, and NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (vid_t len = 1; len <= 17; ++len) {
+    std::vector<vid_t> nbrs;
+    for (vid_t k = len - 1; k >= 0; --k) nbrs.push_back(k);  // ids reversed
+    for (int pattern = 0; pattern < 5; ++pattern) {
+      std::vector<double> weight(static_cast<std::size_t>(len));
+      for (vid_t v = 0; v < len; ++v) {
+        const auto k = static_cast<std::size_t>(len - 1 - v);  // v's position
+        weight[static_cast<std::size_t>(v)] =
+            pattern == 0   ? 1.0
+            : pattern == 1 ? (k % 3 == 0 ? 0.0 : 0.1 * static_cast<double>(k + 1))
+            : pattern == 2 ? (k + 1 == static_cast<std::size_t>(len) ? 0.0 : 0.5)
+            : pattern == 3 ? (k == 0 ? 0.0 : 1.0 / 3.0)
+                           : 0.0;
+      }
+      std::vector<double> draws = {std::numeric_limits<double>::denorm_min(),
+                                   std::numeric_limits<double>::quiet_NaN()};
+      double acc = 0.0;
+      for (const vid_t v : nbrs) {
+        acc += weight[static_cast<std::size_t>(v)];
+        draws.insert(draws.end(), {acc, std::nextafter(acc, 0.0), std::nextafter(acc, inf)});
+      }
+      for (const double r : draws)
+        EXPECT_EQ(detail::branchless_pick(nbrs, weight, r),
+                  detail::early_exit_pick(nbrs, weight, r))
+            << "len=" << len << " pattern=" << pattern << " r=" << r;
+    }
+  }
+
+  // Through the samplers: rows of every length 1..17 over weights with
+  // zeros, known totals (branch-free below the cap) against summed ones.
+  std::vector<std::vector<vid_t>> rows;
+  for (vid_t i = 0; i < 17 * 40; ++i) {
+    rows.emplace_back();
+    for (vid_t d = 0; d <= i % 17; ++d) rows.back().push_back((i * 7 + d * 11) % 200);
+  }
+  const BipartiteGraph g = graph_from_rows(static_cast<vid_t>(rows.size()), 200, rows);
+  std::vector<double> dc(200);
+  for (std::size_t j = 0; j < dc.size(); ++j) dc[j] = j % 4 == 0 ? 0.0 : 0.5 + 0.01 * static_cast<double>(j);
+  std::vector<double> totals(rows.size(), 0.0);
+  for (vid_t i = 0; i < g.num_rows(); ++i)
+    for (const vid_t j : g.row_neighbors(i))
+      totals[static_cast<std::size_t>(i)] += dc[static_cast<std::size_t>(j)];
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::vector<vid_t> summed, known;
+    sample_row_choices(g, dc, seed, summed);
+    sample_row_choices(g, dc, seed, known, totals);
+    EXPECT_EQ(known, summed) << "seed=" << seed;
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bmh.hpp"
@@ -52,6 +54,26 @@ inline std::vector<BipartiteGraph> small_graph_zoo() {
   zoo.push_back(make_full(4));
   zoo.push_back(make_cycle(5));
   return zoo;
+}
+
+/// Graphs that exercise the sweep schedules (BipartiteGraph::row_schedule):
+/// blocks whose degrees lie on both sides of kSweepDegreeCap, power-law
+/// hubs, empty rows and columns, fewer vertices than one block, partial last
+/// blocks, rectangular shapes and an edgeless graph.
+inline std::vector<std::pair<std::string, BipartiteGraph>> sweep_schedule_graphs() {
+  std::vector<std::vector<vid_t>> rows(1100);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    for (std::size_t d = 0; d < i * 7 % 41; ++d)
+      rows[i].push_back(static_cast<vid_t>((i * 13 + d * 31) % 1300));
+  std::vector<std::pair<std::string, BipartiteGraph>> graphs;
+  graphs.emplace_back("degrees 0..40 in every block, 1100x1300",
+                      graph_from_rows(1100, 1300, rows));
+  graphs.emplace_back("power-law hubs, n=1500", make_power_law(1500, 8.0, 1.8, 5));
+  graphs.emplace_back("sparse 700x1200, empty rows and columns",
+                      make_erdos_renyi(700, 1200, 1000, 3));
+  graphs.emplace_back("fewer vertices than one block", make_erdos_renyi(300, 300, 1500, 2));
+  graphs.emplace_back("edgeless", graph_from_rows(3, 4, {{}, {}, {}}));
+  return graphs;
 }
 
 } // namespace bmh::testing

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "graph/builder.hpp"
 #include "matching/matching.hpp"
 #include "test_helpers.hpp"
@@ -53,6 +56,36 @@ TEST(Matching, ValidityRejectsOutOfRangePartner) {
   Matching m(2, 2);
   m.row_match[0] = 7;
   EXPECT_FALSE(is_valid_matching(g, m));
+}
+
+TEST(Matching, ViolationMessagesAreExact) {
+  // Every violation's text, byte for byte, so tests and logs that quote
+  // them stay stable.
+  const BipartiteGraph g = graph_from_rows(2, 3, {{0}, {1, 2}});
+  const auto why = [&](auto&& edit, vid_t rows = 2, vid_t cols = 3) {
+    Matching m(rows, cols);
+    edit(m);
+    return describe_matching_violation(g, m);
+  };
+  const auto none = [](Matching&) {};
+  EXPECT_EQ(why(none), "");
+  EXPECT_EQ(why(none, 3, 3), "row_match size 3 != num_rows 2");
+  EXPECT_EQ(why(none, 2, 4), "col_match size 4 != num_cols 3");
+  EXPECT_EQ(why([](Matching& m) { m.row_match[1] = 7; }),
+            "row 1 matched to out-of-range column 7");
+  EXPECT_EQ(why([](Matching& m) { m.row_match[1] = 2; }),
+            "row 1 matched to column 2 but col_match[2] = -1");
+  EXPECT_EQ(why([](Matching& m) { m.match(0, 2); }), "matched pair (0, 2) is not an edge");
+  EXPECT_EQ(why([](Matching& m) { m.col_match[1] = -5; }),
+            "column 1 matched to out-of-range row -5");
+  EXPECT_EQ(why([](Matching& m) { m.col_match[1] = 1; }),
+            "column 1 matched to row 1 but row_match[1] = -1");
+  try {
+    (void)matching_from_col_view(2, {1, 4});
+    ADD_FAILURE() << "no throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "matching_from_col_view: col_match[1] = 4 is out of range [0, 2)");
+  }
 }
 
 TEST(MatchingFromColView, ReconstructsRowView) {

@@ -15,6 +15,7 @@
 #include "scaling/ruiz.hpp"
 #include "scaling/scaling.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
+#include "test_helpers.hpp"
 #include "util/threading.hpp"
 
 namespace bmh {
@@ -307,6 +308,59 @@ TEST(SinkhornKnopp, FusedSweepsMatchThreeSweepReference) {
           EXPECT_TRUE(same_bits(r.row_total, rows));
           EXPECT_TRUE(same_bits(r.col_total, cols));
         }
+      }
+    }
+  }
+}
+
+/// The fused kernel's loops in natural vertex order: the oracle for the
+/// scheduled sweeps, which visit each block's lists in degree order and
+/// must give the same bits.
+ScalingResult natural_order_sinkhorn_knopp(const BipartiteGraph& g, int k) {
+  ScalingResult r;
+  r.dr.assign(static_cast<std::size_t>(g.num_rows()), 1.0);
+  r.dc.assign(static_cast<std::size_t>(g.num_cols()), 1.0);
+  if (g.num_edges() == 0) return r;
+  r.row_total.resize(static_cast<std::size_t>(g.num_rows()));
+  for (vid_t j = 0; j < g.num_cols(); ++j)
+    r.col_total.push_back(static_cast<double>(g.col_degree(j)));
+  for (int it = 0; it < k; ++it) {
+    for (vid_t j = 0; j < g.num_cols(); ++j) {
+      const double csum = r.col_total[static_cast<std::size_t>(j)];
+      if (csum > 0.0) r.dc[static_cast<std::size_t>(j)] = 1.0 / csum;
+    }
+    for (vid_t i = 0; i < g.num_rows(); ++i) {
+      double rsum = 0.0;
+      for (const vid_t j : g.row_neighbors(i)) rsum += r.dc[static_cast<std::size_t>(j)];
+      r.row_total[static_cast<std::size_t>(i)] = rsum;
+      if (rsum > 0.0) r.dr[static_cast<std::size_t>(i)] = 1.0 / rsum;
+    }
+    double err = 0.0;
+    for (vid_t j = 0; j < g.num_cols(); ++j) {
+      if (g.col_degree(j) == 0) continue;
+      double csum = 0.0;
+      for (const vid_t i : g.col_neighbors(j)) csum += r.dr[static_cast<std::size_t>(i)];
+      r.col_total[static_cast<std::size_t>(j)] = csum;
+      err = std::max(err, std::abs(csum * r.dc[static_cast<std::size_t>(j)] - 1.0));
+    }
+    r.error = err;
+  }
+  return r;
+}
+
+TEST(SinkhornKnopp, ScheduledSweepsMatchNaturalOrder) {
+  for (const auto& [name, g] : testing::sweep_schedule_graphs()) {
+    for (const int k : {1, 2, 5, 10}) {
+      const ScalingResult ref = natural_order_sinkhorn_knopp(g, k);
+      for (const int threads : {1, 4}) {
+        const ThreadCountGuard guard(threads);
+        const ScalingResult r = scale_sinkhorn_knopp(g, {k, 0.0});
+        SCOPED_TRACE(name + " k=" + std::to_string(k) + " t=" + std::to_string(threads));
+        EXPECT_TRUE(same_bits(r.dr, ref.dr));
+        EXPECT_TRUE(same_bits(r.dc, ref.dc));
+        EXPECT_TRUE(same_bits(r.row_total, ref.row_total));
+        EXPECT_TRUE(same_bits(r.col_total, ref.col_total));
+        EXPECT_EQ(r.error, ref.error);
       }
     }
   }
