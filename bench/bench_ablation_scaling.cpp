@@ -51,12 +51,13 @@ int main() {
     }
     table.print(std::cout, c.name);
 
-    const double t_sk = bench::time_geomean(
+    const RunStats t_sk = bench::time_runs(
         [&](int) { (void)scale_sinkhorn_knopp(c.g, {5, 0.0}); }, runs, 1);
-    const double t_rz =
-        bench::time_geomean([&](int) { (void)scale_ruiz(c.g, {5, 0.0}); }, runs, 1);
-    std::cout << "5-iteration cost: SK " << format_double(t_sk * 1e3, 2) << " ms, Ruiz "
-              << format_double(t_rz * 1e3, 2) << " ms\n\n";
+    const RunStats t_rz =
+        bench::time_runs([&](int) { (void)scale_ruiz(c.g, {5, 0.0}); }, runs, 1);
+    std::cout << "5-iteration cost, seconds, median [min..max] over " << runs
+              << " runs: SK " << bench::spread(t_sk) << ", Ruiz " << bench::spread(t_rz)
+              << "\n\n";
   }
   std::cout << "expected shape: SK error < Ruiz error at equal iterations on the\n"
                "unsymmetric instance (the basis for the paper's choice of SK);\n"

@@ -12,8 +12,10 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -81,25 +83,28 @@ int main() {
     const ScalingResult s = scale_sinkhorn_knopp(g, {1, 0.0});
     const DegreeStats deg = row_degree_stats(g);
 
-    Table table({"policy", "time ms", "vs best"});
-    std::vector<double> times;
+    Table table({"policy", "time s", "vs best"});
+    std::vector<RunStats> times;
+    double best = 0.0;
     for (const auto& p : policies) {
       omp_set_schedule(p.kind, p.chunk);
-      times.push_back(bench::time_geomean(
+      times.push_back(bench::time_runs(
           [&](int r) {
             (void)one_sided_runtime_schedule(g, s, static_cast<std::uint64_t>(r));
           },
           runs, 1));
+      const double median = times.back().median();
+      best = times.size() == 1 ? median : std::min(best, median);
     }
-    const double best = *std::min_element(times.begin(), times.end());
     for (std::size_t p = 0; p < std::size(policies); ++p)
       table.row()
           .add(policies[p].name)
-          .add(times[p] * 1e3, 2)
-          .add(times[p] / best, 2);
+          .add(bench::spread(times[p]))
+          .add(times[p].median() / best, 2);
     table.print(std::cout, std::string(name) + "  (row-degree variance " +
                                format_double(deg.variance, 1) + ", " +
-                               std::to_string(threads) + " threads)");
+                               std::to_string(threads) + " threads; median [min..max] over " +
+                               std::to_string(runs) + " runs, vs the best median)");
     std::cout << '\n';
   }
   std::cout << "expected shape: on the mesh-like (uniform) instance the policies\n"

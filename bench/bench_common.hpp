@@ -43,12 +43,6 @@ RunStats time_runs(Fn&& fn, int runs, int warmup) {
   return stats;
 }
 
-/// Geometric mean of time_runs() (timings are aggregated this way in §4.2).
-template <typename Fn>
-double time_geomean(Fn&& fn, int runs, int warmup) {
-  return time_runs(fn, runs, warmup).geomean();
-}
-
 /// "median [min..max]" of a timing cell: a single run on a shared host
 /// varies by more than a typical kernel change, so the spread is printed.
 inline std::string spread(const RunStats& s) {

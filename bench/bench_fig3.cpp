@@ -21,7 +21,7 @@ int main() {
   const int runs = bench::repeats(5);
   const std::vector<int> threads = bench::thread_sweep();
 
-  std::vector<std::string> header = {"name"};
+  std::vector<std::string> header = {"name", "t=1 ms"};
   for (const int t : threads) header.push_back("t=" + std::to_string(t));
   Table scale_table(header), onesided_table(header);
 
@@ -43,14 +43,16 @@ int main() {
       if (t == 1) {
         t_scale_1 = t_scale.median();
         t_one_1 = t_one.median();
+        scale_table.add(t_scale_1 * 1e3, 3);
+        onesided_table.add(t_one_1 * 1e3, 3);
       }
       scale_table.add(bench::speedup_spread(t_scale_1, t_scale));
       onesided_table.add(bench::speedup_spread(t_one_1, t_one));
     }
   }
 
-  const std::string cells = "; speedup over the t=1 median, median [min..max] over " +
-                            std::to_string(runs) + " runs";
+  const std::string cells = "; t=1 median time, then the speedup over it, median [min..max] "
+                            "over " + std::to_string(runs) + " runs";
   scale_table.print(std::cout, "(3a) ScaleSK speedup, 1 iteration" + cells);
   std::cout << '\n';
   onesided_table.print(std::cout, "(3b) OneSidedMatch speedup (includes ScaleSK)" + cells);

@@ -145,6 +145,34 @@ void BM_KarpSipserMT(benchmark::State& state) {
 }
 BENCHMARK(BM_KarpSipserMT)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
+// KarpSipserMT on SK-5 choices of the rotating serve-shaped graphs, at one
+// thread: the budget of a serving job (BM_KarpSipserMT runs at the ambient
+// team size).
+void BM_KarpSipserMTRotating(benchmark::State& state) {
+  const auto& graphs = rotating_graphs(static_cast<vid_t>(state.range(0)));
+  ThreadCountGuard guard(1);
+  std::vector<std::vector<vid_t>> choices;
+  std::int64_t vertices = 0;
+  for (const BipartiteGraph& g : graphs) {
+    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    const TwoSidedChoices ch = sample_two_sided_choices(g, s, 7);
+    choices.push_back(unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice));
+    vertices += g.num_rows() + g.num_cols();
+  }
+  Workspace ws;
+  Matching m;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const BipartiteGraph& g = graphs[next];
+    karp_sipser_mt_ws(g.num_rows(), g.num_cols(), choices[next], nullptr, ws, m);
+    benchmark::DoNotOptimize(m.row_match.data());
+    next = (next + 1) % graphs.size();
+  }
+  state.SetItemsProcessed(state.iterations() * vertices /
+                          static_cast<std::int64_t>(graphs.size()));
+}
+BENCHMARK(BM_KarpSipserMTRotating)->Arg(2048);
+
 void BM_TwoSidedEndToEnd(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
@@ -170,6 +198,26 @@ void BM_TwoSidedSK5(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
 BENCHMARK(BM_TwoSidedSK5)->Arg(2048);
+
+// TwoSidedMatch at SK-5 over the rotating serve-shaped graphs at one
+// thread, as a serving job runs it: scaling, both samplers and
+// KarpSipserMT.
+void BM_TwoSidedSK5Rotating(benchmark::State& state) {
+  const auto& graphs = rotating_graphs(static_cast<vid_t>(state.range(0)));
+  ThreadCountGuard guard(1);
+  Workspace ws;
+  Matching m;
+  std::size_t next = 0;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    two_sided_match_ws(graphs[next], 5, ++seed, nullptr, ws, m);
+    benchmark::DoNotOptimize(m.row_match.data());
+    next = (next + 1) % graphs.size();
+  }
+  state.SetItemsProcessed(state.iterations() * total_edges(graphs) /
+                          static_cast<std::int64_t>(graphs.size()));
+}
+BENCHMARK(BM_TwoSidedSK5Rotating)->Arg(2048);
 
 void BM_SequentialKarpSipser(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));

@@ -21,6 +21,11 @@
 ///  * Phase 2 is a plain parallel-for: in the remaining graph (singletons,
 ///    2-cliques and simple cycles) the column-side choice edges form a
 ///    maximum matching (Lemma 3), so each free column just takes its choice.
+///
+/// Every pass is one body run through `run_team` (util/threading.hpp): with
+/// a one-thread OpenMP budget it runs on the calling thread with plain
+/// loads, stores and selects, otherwise in a parallel region with relaxed
+/// atomics. Both run the same rounds, so they produce the same pairs.
 
 #include <cstdint>
 #include <span>
@@ -48,9 +53,9 @@ struct KarpSipserMTStats {
                                       KarpSipserMTStats* stats = nullptr);
 
 /// Workspace-aware variant of Algorithm 4: the match array and the phase-1
-/// scratch are leased from `ws` (driven through std::atomic_ref so plain
-/// vectors can be reused) and the result lands in `out`; warm calls
-/// allocate nothing.
+/// scratch are leased from `ws` (plain vectors, driven through std::atomic_ref
+/// in a shared team, so they can be reused) and the result lands in `out`;
+/// warm calls allocate nothing.
 void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
                        KarpSipserMTStats* stats, Workspace& ws, Matching& out);
 

@@ -1,13 +1,11 @@
 #include "core/one_sided.hpp"
 
-#include <omp.h>
-
-#include <atomic>
 #include <vector>
 
 #include "core/choice.hpp"
 #include "core/workspace.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
+#include "util/threading.hpp"
 
 namespace bmh {
 
@@ -31,25 +29,13 @@ void one_sided_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& sca
   // count.
   std::vector<vid_t>& cmatch =
       ws.vec<vid_t>("os.cmatch", static_cast<std::size_t>(g.num_cols()), kNil);
-#pragma omp parallel
-  {
-    // A team of one visits the rows in ascending order, so its plain
-    // stores already leave the largest id; it skips the CAS.
-    const bool alone = omp_get_num_threads() == 1;
-#pragma omp for schedule(static)
-    for (vid_t i = 0; i < g.num_rows(); ++i) {
-      const vid_t j = rchoice[static_cast<std::size_t>(i)];
-      if (j == kNil) continue;
-      std::atomic_ref<vid_t> slot(cmatch[static_cast<std::size_t>(j)]);
-      if (alone) {
-        slot.store(i, std::memory_order_relaxed);
-      } else {
-        vid_t seen = slot.load(std::memory_order_relaxed);
-        while (i > seen && !slot.compare_exchange_weak(seen, i, std::memory_order_relaxed)) {
-        }
-      }
-    }
-  }
+  const vid_t rows = g.num_rows();
+  const vid_t* const pick = rchoice.data();
+  vid_t* const col = cmatch.data();
+  run_team([&](auto mem, int tid, int nth) {
+    for (vid_t i = part(rows, tid, nth); i < part(rows, tid + 1, nth); ++i)
+      if (pick[i] != kNil) mem.write_max(col[pick[i]], i);
+  });
 
   matching_from_col_view(g.num_rows(), cmatch, out);
 }

@@ -193,10 +193,16 @@ void BipartiteGraph::forget_schedules() noexcept {
 }
 
 std::size_t BipartiteGraph::memory_bytes() const noexcept {
+  // The sweep schedules are charged whether built yet or not, so the figure
+  // a cache takes at insert stays an upper bound for the graph's lifetime.
+  const std::size_t schedules =
+      (static_cast<std::size_t>(num_rows_) + static_cast<std::size_t>(num_cols_)) *
+      sizeof(vid_t);
   if (const auto* owned = std::get_if<OwnedStorage>(&storage_))
     return (owned->row_ptr.capacity() + owned->col_ptr.capacity()) * sizeof(eid_t) +
-           (owned->col_idx.capacity() + owned->row_idx.capacity()) * sizeof(vid_t);
-  return std::get<ExternalStorage>(storage_).resident_bytes;
+           (owned->col_idx.capacity() + owned->row_idx.capacity()) * sizeof(vid_t) +
+           schedules;
+  return std::get<ExternalStorage>(storage_).resident_bytes + schedules;
 }
 
 void BipartiteGraph::assign_csr(vid_t num_rows, vid_t num_cols,

@@ -67,8 +67,8 @@ public:
   /// Read-only external backing for a graph whose arrays live outside the
   /// object. `keepalive` owns the bytes (e.g. a MappedFile); the four spans
   /// must stay valid for as long as it does. `resident_bytes` is what
-  /// `memory_bytes()` reports — for a mapped store file, the file size the
-  /// mapping can page in (what a cache should account).
+  /// `memory_bytes()` reports for the arrays — for a mapped store file, the
+  /// file size the mapping can page in (what a cache should account).
   struct ExternalStorage {
     std::span<const eid_t> row_ptr;
     std::span<const vid_t> col_idx;
@@ -149,10 +149,12 @@ public:
   [[nodiscard]] std::span<const eid_t> col_ptr() const noexcept { return col_ptr_; }
   [[nodiscard]] std::span<const vid_t> row_idx() const noexcept { return row_idx_; }
 
-  /// Resident bytes backing the four CSR/CSC arrays: heap capacity for owned
-  /// storage (the historical accounting), the external region's
-  /// resident_bytes (file size) for mapped storage. Either way, the cost a
-  /// cache accounts for keeping this graph around.
+  /// Resident bytes backing the four CSR/CSC arrays — heap capacity for
+  /// owned storage, the external region's resident_bytes (file size) for
+  /// mapped storage — plus the two sweep schedules (4 bytes per row and per
+  /// column), charged before they are built. Either way, the cost a cache
+  /// accounts for keeping this graph around, and an upper bound for it over
+  /// the graph's lifetime.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   /// True when the arrays live in heap vectors owned by this object; false
@@ -182,8 +184,9 @@ public:
   /// equal length back to back makes each list's loop exit predictable; a
   /// kernel that still sums every list in adjacency order computes the
   /// same bits as a natural-order sweep. Built on first use (4 bytes per
-  /// vertex per side, not counted by memory_bytes), at most once per graph
-  /// object even when several threads ask at once; never built at load.
+  /// vertex per side, which memory_bytes charges in advance), at most once
+  /// per graph object even when several threads ask at once; never built
+  /// at load.
   /// Copies and moves do not carry it (the new owner builds its own), and
   /// assign_csr, assignment and being moved from drop it, keeping the
   /// buffer's capacity for the pooled rebuild path.

@@ -1,12 +1,13 @@
 # Runs COMMAND with ARGS (a ;-separated list) and compares its stdout byte
 # for byte with the file GOLDEN; a non-zero exit or any difference fails.
-# ARGS2, when given, is a second argument list whose output must match the
-# same file (one golden for two settings that must not change the output).
+# ARGS2 and ARGS3, when given, are further argument lists whose output must
+# match the same file (one golden for settings that must not change the
+# output).
 #
 #   cmake -DCOMMAND=prog "-DARGS=--list" -DGOLDEN=expected.txt \
 #         -P check_golden.cmake
 file(READ ${GOLDEN} expected)
-foreach(args_var ARGS ARGS2)
+foreach(args_var ARGS ARGS2 ARGS3)
   if(NOT DEFINED ${args_var})
     continue()
   endif()

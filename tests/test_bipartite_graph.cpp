@@ -294,5 +294,39 @@ TEST(BipartiteGraph, SweepScheduleLifecycle) {
   expect_schedules_of(shared);
 }
 
+TEST(BipartiteGraph, MemoryBytesCountsSweepSchedules) {
+  // Owned storage: the arrays' capacity plus both schedules, charged before
+  // either is built, so building them leaves the figure as it was.
+  const BipartiteGraph g = make_power_law(1500, 8.0, 1.8, 5);
+  const std::size_t arrays =
+      (g.row_ptr().size() + g.col_ptr().size()) * sizeof(eid_t) +
+      (g.col_idx().size() + g.row_idx().size()) * sizeof(vid_t);
+  const std::size_t before = g.memory_bytes();
+  EXPECT_GE(before, arrays + testing::schedule_bytes(g));
+  EXPECT_EQ(testing::schedule_bytes(g), std::size_t{4} * (1500 + 1500));
+  (void)g.row_schedule();
+  (void)g.col_schedule();
+  EXPECT_EQ(g.memory_bytes(), before);
+
+  // Mapped storage: the file plus both schedules, built or not.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("bmh_graph_bytes_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + ".bmhg");
+  save_graph(g, path.string());
+  const std::size_t file_bytes = std::filesystem::file_size(path);
+  const BipartiteGraph mapped = load_graph_mapped(path.string());
+  std::filesystem::remove(path);
+  ASSERT_FALSE(mapped.owns_storage());
+  EXPECT_EQ(mapped.memory_bytes(), file_bytes + testing::schedule_bytes(g));
+  (void)mapped.row_schedule();
+  (void)mapped.col_schedule();
+  EXPECT_EQ(mapped.memory_bytes(), file_bytes + testing::schedule_bytes(g));
+
+  // An edgeless graph still charges its vertices' schedule entries.
+  const BipartiteGraph edgeless = graph_from_rows(3, 4, {{}, {}, {}});
+  EXPECT_GE(edgeless.memory_bytes(), std::size_t{4} * 7);
+}
+
 } // namespace
 } // namespace bmh

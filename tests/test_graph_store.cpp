@@ -175,7 +175,7 @@ TEST_F(GraphStoreTest, FreshCacheServesFromWarmStoreWithoutBuilding) {
   const auto loaded = warm.get_or_build(spec, 1);
   ASSERT_NE(loaded, nullptr);
   EXPECT_FALSE(loaded->owns_storage());  // mmap view — no rebuild
-  EXPECT_EQ(loaded->memory_bytes(), file_bytes);
+  EXPECT_EQ(loaded->memory_bytes(), file_bytes + testing::schedule_bytes(*loaded));
   EXPECT_TRUE(loaded->structurally_equal(build_graph(spec, 1)));
   GraphCache::Stats s = warm.stats();
   EXPECT_EQ(s.misses, 1u);       // memory tier was cold...

@@ -76,4 +76,11 @@ inline std::vector<std::pair<std::string, BipartiteGraph>> sweep_schedule_graphs
   return graphs;
 }
 
+/// The bytes memory_bytes() charges for a graph's two sweep schedules,
+/// built or not: 4 per row and per column.
+inline std::size_t schedule_bytes(const BipartiteGraph& g) {
+  return (static_cast<std::size_t>(g.num_rows()) + static_cast<std::size_t>(g.num_cols())) *
+         sizeof(vid_t);
+}
+
 } // namespace bmh::testing

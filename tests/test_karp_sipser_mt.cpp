@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/one_out_structure.hpp"
 #include "core/karp_sipser_mt.hpp"
 #include "core/two_sided.hpp"
+#include "core/workspace.hpp"
 #include "graph/generators.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
@@ -84,23 +88,165 @@ TEST(KarpSipserMT, SizeMismatchThrows) {
 
 TEST(KarpSipserMT, SameSideChoiceRejected) {
   // Row 0 "choosing" row 1 would violate bipartiteness and corrupt the
-  // phase invariants; the algorithm must reject it.
-  std::vector<vid_t> choice(4, kNil);
-  choice[0] = 1;  // row -> row
-  EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument);
-  choice[0] = kNil;
-  choice[2] = 3;  // column -> column
-  EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument);
-  choice[2] = 7;  // out of range entirely
-  EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument);
+  // phase invariants; the algorithm must reject it, as a team of one and
+  // as a shared team.
+  for (const int threads : {1, 4}) {
+    ThreadCountGuard guard(threads);
+    std::vector<vid_t> choice(4, kNil);
+    choice[0] = 1;  // row -> row
+    EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument) << threads;
+    choice[0] = kNil;
+    choice[2] = 3;  // column -> column
+    EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument) << threads;
+    choice[2] = 7;  // out of range entirely
+    EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument) << threads;
+  }
 }
 
 TEST(KarpSipserMT, ChosenVertexWithoutChoiceRejected) {
   // Rows 0-1, columns 2-3. Row 0 chose nothing, yet columns 2 and 3 chose
   // it: a vertex with an edge cannot be isolated, and Phase 1 would follow
   // row 0's missing choice out of bounds.
-  const std::vector<vid_t> choice = {kNil, 2, 0, 0};
-  EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument);
+  for (const int threads : {1, 4}) {
+    ThreadCountGuard guard(threads);
+    const std::vector<vid_t> choice = {kNil, 2, 0, 0};
+    EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument) << threads;
+  }
+}
+
+/// A choice array over m rows and n columns (unified ids).
+struct ChoiceCase {
+  vid_t m;
+  vid_t n;
+  std::vector<vid_t> choice;
+};
+
+/// `copies` side-by-side copies of the gadget whose round-1 frontier is out
+/// of id order, with two of its vertices claiming one target. Per copy g:
+/// rows a, b, w2, w1, z = 5g + 0..4 and columns x, y, t = 3g + 0..2 (local
+/// ids); a -> x -> w1 -> t, b -> y -> w2 -> t, and t <-> z. Round 0's
+/// frontier is [a, b]; matching a-x and then b-y elects w1 and then w2, so
+/// round 1's frontier is [w1, w2] with w1 > w2, and both claim t.
+ChoiceCase unordered_frontier(vid_t copies) {
+  std::vector<vid_t> rchoice(static_cast<std::size_t>(5 * copies));
+  std::vector<vid_t> cchoice(static_cast<std::size_t>(3 * copies));
+  for (vid_t g = 0; g < copies; ++g) {
+    const auto r = static_cast<std::size_t>(5 * g);
+    const auto c = static_cast<std::size_t>(3 * g);
+    const vid_t x = 3 * g, y = 3 * g + 1, t = 3 * g + 2;
+    rchoice[r + 0] = x;                     // a -> x
+    rchoice[r + 1] = y;                     // b -> y
+    rchoice[r + 2] = t;                     // w2 -> t
+    rchoice[r + 3] = t;                     // w1 -> t
+    rchoice[r + 4] = t;                     // z -> t
+    cchoice[c + 0] = static_cast<vid_t>(r + 3);  // x -> w1
+    cchoice[c + 1] = static_cast<vid_t>(r + 2);  // y -> w2
+    cchoice[c + 2] = static_cast<vid_t>(r + 4);  // t -> z
+  }
+  return {5 * copies, 3 * copies, unify_choices(5 * copies, 3 * copies, rchoice, cchoice)};
+}
+
+TEST(KarpSipserMT, SmallestClaimantWinsOutOfOrderFrontier) {
+  // The smallest claimant, w2, must take t at every thread count. A round
+  // that let the first claimant in frontier order win (w1) would give other
+  // pairs, and those would depend on the order the frontier was built in.
+  const ChoiceCase c = unordered_frontier(1);
+  for (const int threads : {1, 2, 3, 4}) {
+    ThreadCountGuard guard(threads);
+    KarpSipserMTStats stats;
+    const Matching m = karp_sipser_mt(c.m, c.n, c.choice, &stats);
+    EXPECT_EQ(m.row_match, (std::vector<vid_t>{0, 1, 2, kNil, kNil})) << threads;
+    EXPECT_EQ(m.col_match, (std::vector<vid_t>{0, 1, 2})) << threads;
+    EXPECT_EQ(stats.phase1_matches, 3) << threads;
+    EXPECT_EQ(stats.phase2_matches, 0) << threads;
+  }
+}
+
+/// Choice arrays for the team-size equality test: SK-5 choices on several
+/// families, and hand-built arrays that stress the rounds.
+std::vector<std::pair<std::string, ChoiceCase>> team_cases() {
+  std::vector<std::pair<std::string, ChoiceCase>> cases;
+  const std::pair<const char*, BipartiteGraph> graphs[] = {
+      {"er", make_erdos_renyi(2048, 2048, 6 * 2048, 5)},
+      {"powerlaw", make_power_law(2048, 8.0, 1.8, 6)},
+      {"road", make_road_like(3000, 0.1, 0.05, 7)},
+      {"rect", make_erdos_renyi(1700, 2300, 4000, 8)},
+  };
+  for (const auto& [name, g] : graphs) {
+    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    const TwoSidedChoices ch = sample_two_sided_choices(g, s, 9);
+    cases.push_back({name, {g.num_rows(), g.num_cols(),
+                            unify_choices(g.num_rows(), g.num_cols(), ch.rchoice,
+                                          ch.cchoice)}});
+  }
+  // Reciprocal pairs reached from both sides in one round: t1 -> y,
+  // t2 -> x, x <-> y, per copy (rows t1, x; columns t2, y).
+  const vid_t pairs = 500;
+  std::vector<vid_t> rchoice(2 * pairs), cchoice(2 * pairs);
+  for (vid_t g = 0; g < pairs; ++g) {
+    rchoice[static_cast<std::size_t>(2 * g)] = 2 * g + 1;
+    rchoice[static_cast<std::size_t>(2 * g + 1)] = 2 * g + 1;
+    cchoice[static_cast<std::size_t>(2 * g)] = 2 * g + 1;
+    cchoice[static_cast<std::size_t>(2 * g + 1)] = 2 * g + 1;
+  }
+  cases.push_back({"reciprocal frontier pairs",
+                   {2 * pairs, 2 * pairs, unify_choices(2 * pairs, 2 * pairs, rchoice, cchoice)}});
+  // One chain r0 -> c0 -> r1 -> c1 -> ... ending in a reciprocal pair: one
+  // new frontier vertex per round.
+  const vid_t length = 300;
+  rchoice.assign(length, 0);
+  cchoice.assign(length, 0);
+  for (vid_t i = 0; i < length; ++i) {
+    rchoice[static_cast<std::size_t>(i)] = i;
+    cchoice[static_cast<std::size_t>(i)] = std::min(i + 1, length - 1);
+  }
+  cases.push_back({"long chain", {length, length, unify_choices(length, length, rchoice, cchoice)}});
+  // Pure cycles of 2 * 7 vertices: nothing for phase 1.
+  const vid_t cycles = 150, len = 7;
+  rchoice.assign(cycles * len, 0);
+  cchoice.assign(cycles * len, 0);
+  for (vid_t q = 0; q < cycles; ++q)
+    for (vid_t i = 0; i < len; ++i) {
+      rchoice[static_cast<std::size_t>(q * len + i)] = q * len + i;
+      cchoice[static_cast<std::size_t>(q * len + i)] = q * len + (i + 1) % len;
+    }
+  cases.push_back({"pure cycles", {cycles * len, cycles * len,
+                                   unify_choices(cycles * len, cycles * len, rchoice, cchoice)}});
+  cases.push_back({"all nil", {300, 200, std::vector<vid_t>(500, kNil)}});
+  cases.push_back({"unordered frontier", unordered_frontier(400)});
+  return cases;
+}
+
+TEST(KarpSipserMT, TeamOfOneMatchesSharedTeam) {
+  // A one-thread budget runs the rounds with plain loads and stores; a
+  // larger one runs them in a shared team. Both must give the same pairs,
+  // statistics and phase-1 match arrays, also when the team splits the
+  // work unevenly (three threads).
+  Workspace ws;
+  for (const auto& [name, c] : team_cases()) {
+    SCOPED_TRACE(name);
+    Matching alone;
+    KarpSipserMTStats alone_stats;
+    std::vector<vid_t> alone_phase1;
+    {
+      ThreadCountGuard guard(1);
+      alone = karp_sipser_mt(c.m, c.n, c.choice, &alone_stats);
+      ASSERT_TRUE(karp_sipser_mt_phase1_ws(c.choice, alone_phase1, ws));
+    }
+    EXPECT_EQ(alone_stats.phase1_matches + alone_stats.phase2_matches, alone.cardinality());
+    for (const int threads : {2, 3, 4}) {
+      ThreadCountGuard guard(threads);
+      KarpSipserMTStats stats;
+      const Matching shared = karp_sipser_mt(c.m, c.n, c.choice, &stats);
+      EXPECT_EQ(shared.row_match, alone.row_match) << threads;
+      EXPECT_EQ(shared.col_match, alone.col_match) << threads;
+      EXPECT_EQ(stats.phase1_matches, alone_stats.phase1_matches) << threads;
+      EXPECT_EQ(stats.phase2_matches, alone_stats.phase2_matches) << threads;
+      std::vector<vid_t> phase1;
+      ASSERT_TRUE(karp_sipser_mt_phase1_ws(c.choice, phase1, ws));
+      EXPECT_EQ(phase1, alone_phase1) << threads;
+    }
+  }
 }
 
 TEST(KarpSipserMT, UnifyChoicesValidatesRanges) {

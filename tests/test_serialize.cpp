@@ -90,8 +90,10 @@ TEST_F(SerializeTest, RoundTripIsExactAcrossTheZoo) {
     EXPECT_EQ(to_vector(loaded.col_ptr()), to_vector(g.col_ptr()));
     EXPECT_EQ(to_vector(loaded.row_idx()), to_vector(g.row_idx()));
     EXPECT_TRUE(loaded.structurally_equal(g));
-    // memory_bytes accounts the mapped file, and the recorded size matches.
-    EXPECT_EQ(loaded.memory_bytes(), fs::file_size(path));
+    // memory_bytes accounts the mapped file plus the sweep schedules, and
+    // the recorded size matches.
+    EXPECT_EQ(loaded.memory_bytes(),
+              fs::file_size(path) + testing::schedule_bytes(loaded));
     EXPECT_EQ(serialized_graph_bytes(g, "zoo-key"), fs::file_size(path));
   }
 }

@@ -154,6 +154,42 @@ TEST(OneOutKarpSipser, MalformedChoicesRejected) {
                std::invalid_argument);
 }
 
+TEST(OneOutKarpSipser, TeamOfOneMatchesSharedTeam) {
+  // Phase 1 is KarpSipserMT's: a one-thread budget runs its rounds with
+  // plain loads and stores, a larger one in a shared team. The mates must
+  // not depend on which, also for an uneven split (three threads).
+  std::vector<std::pair<std::string, std::vector<vid_t>>> cases;
+  for (const std::uint64_t seed : {3, 4}) {
+    const UndirectedGraph g = make_undirected_erdos_renyi(6000, 18000, seed);
+    const SymmetricScaling s = scale_symmetric(g, 5);
+    cases.emplace_back("er seed " + std::to_string(seed), sample_choices(g, s.d, seed + 1));
+  }
+  // Chains 3k -> 3k+1 <-> 3k+2 and odd 5-cycles, side by side.
+  std::vector<vid_t> mixed;
+  for (vid_t k = 0; k < 400; ++k) {
+    const vid_t b = static_cast<vid_t>(mixed.size());
+    mixed.insert(mixed.end(), {b + 1, b + 2, b + 1});
+    const vid_t c = b + 3;
+    mixed.insert(mixed.end(), {c + 1, c + 2, c + 3, c + 4, c});
+  }
+  cases.emplace_back("chains and odd cycles", mixed);
+  cases.emplace_back("all nil", std::vector<vid_t>(700, kNil));
+
+  for (const auto& [name, choice] : cases) {
+    SCOPED_TRACE(name);
+    const auto n = static_cast<vid_t>(choice.size());
+    UndirectedMatching alone;
+    {
+      ThreadCountGuard guard(1);
+      alone = one_out_karp_sipser(n, choice);
+    }
+    for (const int threads : {2, 3, 4}) {
+      ThreadCountGuard guard(threads);
+      EXPECT_EQ(one_out_karp_sipser(n, choice).mate, alone.mate) << threads;
+    }
+  }
+}
+
 class UndirectedOneOutExactness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(UndirectedOneOutExactness, MatchesBruteForceOnChoiceSubgraph) {
