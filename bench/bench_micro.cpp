@@ -66,8 +66,12 @@ eid_t total_edges(const std::vector<BipartiteGraph>& graphs) {
   return edges;
 }
 
+// SK-5 over the rotating graphs with a team of range(1) threads: one, the
+// budget of a serving job, and four, where the whole call is one parallel
+// region.
 void BM_SinkhornKnopp5Rotating(benchmark::State& state) {
   const auto& graphs = rotating_graphs(static_cast<vid_t>(state.range(0)));
+  ThreadCountGuard guard(static_cast<int>(state.range(1)));
   Workspace ws;
   ScalingResult s;
   std::size_t next = 0;
@@ -79,7 +83,7 @@ void BM_SinkhornKnopp5Rotating(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * total_edges(graphs) /
                           static_cast<std::int64_t>(graphs.size()));
 }
-BENCHMARK(BM_SinkhornKnopp5Rotating)->Arg(2048);
+BENCHMARK(BM_SinkhornKnopp5Rotating)->Args({2048, 1})->Args({2048, 4});
 
 void BM_RuizIteration(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
@@ -113,10 +117,12 @@ void BM_OneSidedEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_OneSidedEndToEnd)->Arg(1 << 17)->Arg(1 << 20);
 
-// OneSidedMatch at SK-5 over the rotating serve-shaped graphs: scaling and
-// the row sampler (reading SK's totals), then the column write.
+// OneSidedMatch at SK-5 over the rotating serve-shaped graphs at one
+// thread, as a serving job runs it: scaling and the row sampler (reading
+// SK's totals), then the column write.
 void BM_OneSidedSK5Rotating(benchmark::State& state) {
   const auto& graphs = rotating_graphs(static_cast<vid_t>(state.range(0)));
+  ThreadCountGuard guard(1);
   Workspace ws;
   Matching m;
   std::size_t next = 0;

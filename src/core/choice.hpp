@@ -15,13 +15,17 @@
 /// computed it (ScalingResult::row_total / col_total, same values and same
 /// order), so with known totals sampling is one walk up to the pick (to the
 /// end, without branching, for lists shorter than kSweepDegreeCap); without
-/// them each list is summed first and then walked. Lists are visited in the
-/// graph's sweep schedule; every list draws from its own forked stream, so
-/// the visiting order changes no choice.
+/// them each list is summed first and then walked. With known totals, two
+/// consecutive short lists of one length whose totals are positive are
+/// walked in lockstep. Lists are visited in the graph's sweep schedule;
+/// every list draws from its own forked stream, so neither the visiting
+/// order nor the pairing changes a choice. The samplers are team bodies
+/// (run_team): no OpenMP region at a one-thread budget.
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
@@ -58,6 +62,26 @@ namespace detail {
     below += static_cast<std::size_t>(!(acc >= r));
   }
   return nbrs[std::min(below, nbrs.size() - 1)];
+}
+
+/// branchless_pick on two lists of the same non-zero length at once, with
+/// draws ru and rv: the two running sums are independent chains, so they
+/// overlap. Each pick equals branchless_pick's on its own list.
+[[nodiscard]] inline std::pair<vid_t, vid_t> branchless_pick_pair(
+    std::span<const vid_t> u_nbrs, double ru, std::span<const vid_t> v_nbrs, double rv,
+    const std::vector<double>& weight) {
+  double u_acc = 0.0;
+  double v_acc = 0.0;
+  std::size_t u_below = 0;
+  std::size_t v_below = 0;
+  for (std::size_t k = 0; k < u_nbrs.size(); ++k) {
+    u_acc += weight[static_cast<std::size_t>(u_nbrs[k])];
+    v_acc += weight[static_cast<std::size_t>(v_nbrs[k])];
+    u_below += static_cast<std::size_t>(!(u_acc >= ru));
+    v_below += static_cast<std::size_t>(!(v_acc >= rv));
+  }
+  const std::size_t last = u_nbrs.size() - 1;
+  return {u_nbrs[std::min(u_below, last)], v_nbrs[std::min(v_below, last)]};
 }
 
 } // namespace detail

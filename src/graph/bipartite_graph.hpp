@@ -42,8 +42,8 @@
 
 namespace bmh {
 
-/// Vertices per sweep block: the unit of work the scheduled kernels hand to
-/// OpenMP (`schedule(dynamic, 1)` over blocks).
+/// Vertices per sweep block: the unit of work the scheduled kernels' team
+/// members claim in turn (TeamMemory::claim).
 inline constexpr vid_t kSweepBlock = 512;
 
 /// Degrees at or above this cap sort as one class at a block's tail; one
@@ -60,6 +60,32 @@ inline constexpr eid_t kSweepDegreeCap = 16;
                                                         vid_t b) noexcept {
   const auto begin = static_cast<std::size_t>(b) * kSweepBlock;
   return schedule.subspan(begin, std::min<std::size_t>(kSweepBlock, schedule.size() - begin));
+}
+
+/// Visits a sweep block's lists in order, two at a time where it can: two
+/// consecutive lists of equal degree d < kSweepDegreeCap go to
+/// `pair(u, v, d)`, every other list to `one(u)`. A kernel that walks the
+/// two lists of a pair in lockstep overlaps their dependent add chains and
+/// still adds each list in adjacency order. A run of odd length ends with
+/// one list alone, and no pair spans two blocks. `ptr` is the side's offset
+/// array (row_ptr for rows, col_ptr for columns).
+template <typename Pair, typename One>
+void visit_list_pairs(std::span<const vid_t> block, std::span<const eid_t> ptr, Pair&& pair,
+                      One&& one) {
+  const auto degree = [ptr](vid_t u) { return ptr[u + 1] - ptr[u]; };
+  std::size_t k = 0;
+  for (; k + 1 < block.size(); ++k) {
+    const vid_t u = block[k];
+    const vid_t v = block[k + 1];
+    const eid_t d = degree(u);
+    if (d < kSweepDegreeCap && degree(v) == d) {
+      pair(u, v, d);
+      ++k;
+    } else {
+      one(u);
+    }
+  }
+  if (k < block.size()) one(block[k]);
 }
 
 class BipartiteGraph {

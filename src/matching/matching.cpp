@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/threading.hpp"
+
 namespace bmh {
 
 namespace {
@@ -21,9 +23,12 @@ std::string message(const Parts&... parts) {
 vid_t Matching::cardinality() const noexcept {
   vid_t count = 0;
   const auto n = static_cast<vid_t>(row_match.size());
-#pragma omp parallel for schedule(static) reduction(+ : count)
-  for (vid_t i = 0; i < n; ++i)
-    if (row_match[static_cast<std::size_t>(i)] != kNil) ++count;
+  run_team([&](auto mem, int tid, int nth) {
+    vid_t mine = 0;
+    for (vid_t i = part(n, tid, nth); i < part(n, tid + 1, nth); ++i)
+      mine += static_cast<vid_t>(row_match[static_cast<std::size_t>(i)] != kNil);
+    mem.add(count, mine);
+  });
   return count;
 }
 

@@ -8,22 +8,29 @@ namespace bmh {
 
 /// Runs the Sinkhorn–Knopp iteration: at each step, first the columns are
 /// balanced (dc[j] = 1 / sum_i dr[i]·a_ij), then the rows (dr[i] = 1 /
-/// sum_j a_ij·dc[j]), each in an OpenMP parallel-for over the corresponding
-/// compressed view. After every iteration the row sums are exactly one
-/// (modulo round-off), so the reported error is the maximum deviation of the
-/// column sums from one.
+/// sum_j a_ij·dc[j]), each over the corresponding compressed view. After
+/// every iteration the row sums are exactly one (modulo round-off), so the
+/// reported error is the maximum deviation of the column sums from one.
+///
+/// The whole call is one team body (run_team): with a one-thread budget it
+/// runs on the calling thread and opens no OpenMP region; otherwise it is
+/// one region whose members claim the sweeps' blocks in turn and meet at a
+/// barrier after each sweep. The error is combined across members before
+/// anyone tests it, so all of them leave at the same tolerance exit.
 ///
 /// Cost: k iterations make 2k sweeps over the edges. The error pass sums dr
 /// over each column, with the final dr and in adjacency order; those sums
-/// are exactly the next column balance's, so that balance is one divide per
-/// column (the first one divides by the degrees, the sums of dr = 1). The
-/// last row sums and column sums are left in row_total/col_total for the
-/// choice samplers.
+/// are exactly the next column balance's, so the pass also makes that
+/// balance's divide, into a second dc buffer (the first balance divides by
+/// the degrees, the sums of dr = 1). The last row sums and column sums are
+/// left in row_total/col_total for the choice samplers.
 ///
 /// The row sweep and the error pass visit the lists through the graph's
 /// sweep schedules (BipartiteGraph::row_schedule / col_schedule): degree
 /// order inside each 512-vertex block, so a list's loop exit is predictable.
-/// Every list is summed in adjacency order, so the multipliers, totals and
+/// Two consecutive lists of equal length below kSweepDegreeCap are summed
+/// in lockstep (visit_list_pairs), which overlaps their add chains. Every
+/// list is still summed in adjacency order, so the multipliers, totals and
 /// error have the natural-order sweep's bits at any thread count.
 ///
 /// Empty rows/columns keep multiplier 1 and are excluded from the error.

@@ -87,6 +87,15 @@ struct TeamMemory : std::bool_constant<kShared> {
     else x += d;
   }
 
+  /// Claims the next item of a counter that hands out work (e.g. sweep
+  /// blocks) in turn: returns `next` and increments it, so every value is
+  /// claimed by exactly one member.
+  template <typename T>
+  static T claim(T& next) noexcept {
+    if constexpr (kShared) return std::atomic_ref<T>(next).fetch_add(1, std::memory_order_relaxed);
+    else return next++;
+  }
+
   /// Subtracts one from `x` when `c` holds and returns the new value; when
   /// `c` does not hold, `x` is left as it is and the result is unspecified.
   template <typename T>
@@ -133,8 +142,9 @@ struct TeamMemory : std::bool_constant<kShared> {
 /// body(TeamMemory<true>{}, omp_get_thread_num(), omp_get_num_threads()).
 /// The body is compiled once per case, so a kernel written once runs with
 /// atomics only where another thread can see its data. It must not throw,
-/// and it splits its loops itself (e.g. with `part`), since a worksharing
-/// construct would call into the OpenMP runtime for the team of one too.
+/// and it splits its loops itself (with `part`, or by `claim`ing blocks
+/// from a shared counter), since a worksharing construct would call into
+/// the OpenMP runtime for the team of one too.
 template <typename Body>
 void run_team(Body&& body) {
   if (max_threads() == 1) {

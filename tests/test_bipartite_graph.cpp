@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <functional>
 #include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -292,6 +293,67 @@ TEST(BipartiteGraph, SweepScheduleLifecycle) {
     EXPECT_EQ(t % 2 == 0 ? cols_seen[t] : rows_seen[t], shared.col_schedule().data());
   }
   expect_schedules_of(shared);
+}
+
+/// The calls visit_list_pairs makes on one sweep block, flattened: each
+/// pair's two lists, then each lone list, in call order, with every pair
+/// recorded by its first list's position.
+struct BlockVisit {
+  std::vector<vid_t> lists;
+  std::vector<std::size_t> pair_starts;
+};
+
+BlockVisit visit_block(std::span<const vid_t> block, std::span<const eid_t> ptr) {
+  BlockVisit seen;
+  visit_list_pairs(
+      block, ptr,
+      [&](vid_t u, vid_t v, eid_t d) {
+        EXPECT_EQ(ptr[u + 1] - ptr[u], d);
+        EXPECT_EQ(ptr[v + 1] - ptr[v], d);
+        seen.pair_starts.push_back(seen.lists.size());
+        seen.lists.insert(seen.lists.end(), {u, v});
+      },
+      [&](vid_t u) { seen.lists.push_back(u); });
+  return seen;
+}
+
+TEST(BipartiteGraph, VisitListPairsPairsRunsInsideEachBlock) {
+  for (const auto& [name, g] : testing::sweep_schedule_graphs())
+    for (const bool rows : {true, false}) {
+      SCOPED_TRACE(name + (rows ? " rows" : " columns"));
+      const std::span<const vid_t> schedule = rows ? g.row_schedule() : g.col_schedule();
+      const std::span<const eid_t> ptr = rows ? g.row_ptr() : g.col_ptr();
+      const auto degree = [&](vid_t u) { return ptr[u + 1] - ptr[u]; };
+      for (vid_t b = 0; b < sweep_block_count(static_cast<vid_t>(schedule.size())); ++b) {
+        const std::span<const vid_t> block = sweep_block(schedule, b);
+        const BlockVisit seen = visit_block(block, ptr);
+        // Every list of the block once, in schedule order, and nothing else.
+        ASSERT_EQ(seen.lists, std::vector<vid_t>(block.begin(), block.end())) << "block " << b;
+        // Pairs are taken greedily from the left: a list goes alone only
+        // when it is long, the block's last, or unlike the next one.
+        std::size_t p = 0;
+        for (std::size_t k = 0; k < block.size(); ++k) {
+          const bool paired = p < seen.pair_starts.size() && seen.pair_starts[p] == k;
+          const bool can_pair = k + 1 < block.size() && degree(block[k]) < kSweepDegreeCap &&
+                                degree(block[k + 1]) == degree(block[k]);
+          EXPECT_EQ(paired, can_pair) << "block " << b << " position " << k;
+          if (paired) {
+            ++p;
+            ++k;
+          }
+        }
+      }
+    }
+
+  // The run of degree-4 rows that closes block 0 (odd) and opens block 1
+  // is split at the boundary: block 0's last list goes alone.
+  const BipartiteGraph g = testing::list_pairing_graph();
+  const std::span<const vid_t> block0 = sweep_block(g.row_schedule(), 0);
+  const std::span<const vid_t> block1 = sweep_block(g.row_schedule(), 1);
+  ASSERT_EQ(g.row_degree(block0.back()), 4);
+  ASSERT_EQ(g.row_degree(block1.front()), 4);
+  EXPECT_EQ(visit_block(block0, g.row_ptr()).pair_starts.back(), block0.size() - 3);
+  EXPECT_EQ(visit_block(block1, g.row_ptr()).pair_starts.front(), 0u);
 }
 
 TEST(BipartiteGraph, MemoryBytesCountsSweepSchedules) {

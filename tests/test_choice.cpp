@@ -5,12 +5,15 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/choice.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
+#include "test_helpers.hpp"
+#include "util/threading.hpp"
 
 namespace bmh {
 namespace {
@@ -179,6 +182,100 @@ TEST(Choice, ShortWalkMatchesEarlyExitWalk) {
     sample_row_choices(g, dc, seed, summed);
     sample_row_choices(g, dc, seed, known, totals);
     EXPECT_EQ(known, summed) << "seed=" << seed;
+  }
+}
+
+TEST(Choice, PairedWalkMatchesTwoShortWalks) {
+  // Two lists of one length walked in lockstep pick what each walk picks
+  // alone, for draws at, beside and past every running sum, and NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (vid_t len = 1; len < static_cast<vid_t>(kSweepDegreeCap); ++len) {
+    std::vector<vid_t> u_nbrs, v_nbrs;
+    for (vid_t k = 0; k < len; ++k) {
+      u_nbrs.push_back(k);
+      v_nbrs.push_back(2 * len - 1 - k);
+    }
+    std::vector<double> weight(static_cast<std::size_t>(2 * len));
+    for (std::size_t x = 0; x < weight.size(); ++x)
+      weight[x] = x % 3 == 0 ? 0.0 : 0.1 * static_cast<double>(x + 1);
+    std::vector<double> draws = {std::numeric_limits<double>::denorm_min(), nan};
+    for (const std::vector<vid_t>* nbrs : {&u_nbrs, &v_nbrs}) {
+      double acc = 0.0;
+      for (const vid_t v : *nbrs) {
+        acc += weight[static_cast<std::size_t>(v)];
+        draws.insert(draws.end(), {acc, std::nextafter(acc, 0.0), std::nextafter(acc, 1e9)});
+      }
+    }
+    for (std::size_t a = 0; a < draws.size(); ++a) {
+      const double ru = draws[a];
+      const double rv = draws[(a * 7 + 3) % draws.size()];
+      const auto [cu, cv] = detail::branchless_pick_pair(u_nbrs, ru, v_nbrs, rv, weight);
+      EXPECT_EQ(cu, detail::branchless_pick(u_nbrs, weight, ru)) << "len=" << len << " r=" << ru;
+      EXPECT_EQ(cv, detail::branchless_pick(v_nbrs, weight, rv)) << "len=" << len << " r=" << rv;
+    }
+  }
+}
+
+TEST(Choice, PairedListsWithDegenerateTotals) {
+  // Rows of degree 3 over columns of their own, whose totals cycle through
+  // positive, positive, zero, positive, NaN, negative and positive. The
+  // rows are walked two by two, so both-positive pairs take the lockstep
+  // walk and every other kind of total meets a positive one; a pair
+  // with a total <= 0 or NaN must fall back to each list's own walk. The
+  // known totals are the adjacency-order sums, so the choices must equal
+  // the summing sampler's at any team size.
+  const vid_t n = 1100;
+  std::vector<std::vector<vid_t>> rows;
+  std::vector<double> dc;
+  for (vid_t i = 0; i < n; ++i) {
+    rows.push_back({3 * i, 3 * i + 1, 3 * i + 2});
+    switch (i % 7) {
+      case 2: dc.insert(dc.end(), {0.0, 0.0, 0.0}); break;
+      case 4: dc.insert(dc.end(), {0.5, std::numeric_limits<double>::quiet_NaN(), 0.25}); break;
+      case 5: dc.insert(dc.end(), {-1.0, 0.5, 0.25}); break;
+      default: dc.insert(dc.end(), {0.5, 0.125 * static_cast<double>(i % 3), 0.25}); break;
+    }
+  }
+  const BipartiteGraph g = graph_from_rows(n, 3 * n, rows);
+  std::vector<double> totals(static_cast<std::size_t>(n), 0.0);
+  for (vid_t i = 0; i < n; ++i)
+    for (const vid_t j : g.row_neighbors(i))
+      totals[static_cast<std::size_t>(i)] += dc[static_cast<std::size_t>(j)];
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    std::vector<vid_t> summed, known;
+    {
+      const ThreadCountGuard guard(1);
+      sample_row_choices(g, dc, seed, summed);
+    }
+    for (const int threads : {1, 4}) {
+      const ThreadCountGuard guard(threads);
+      sample_row_choices(g, dc, seed, known, totals);
+      EXPECT_EQ(known, summed) << "seed=" << seed << " t=" << threads;
+    }
+    for (vid_t i = 0; i < n; ++i) EXPECT_TRUE(g.has_edge(i, summed[static_cast<std::size_t>(i)]));
+  }
+}
+
+TEST(Choice, SharedTeamsMatchTheTeamOfOne) {
+  for (const auto& [name, g] : testing::sweep_schedule_graphs()) {
+    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    for (const bool known : {false, true}) {
+      std::vector<vid_t> rows_ref, cols_ref, rows, cols;
+      const std::span<const double> row_totals = known ? s.row_total : std::span<const double>{};
+      const std::span<const double> col_totals = known ? s.col_total : std::span<const double>{};
+      {
+        const ThreadCountGuard guard(1);
+        sample_row_choices(g, s.dc, 11, rows_ref, row_totals);
+        sample_col_choices(g, s.dr, 11, cols_ref, col_totals);
+      }
+      for (const int threads : {2, 3, 4}) {
+        const ThreadCountGuard guard(threads);
+        sample_row_choices(g, s.dc, 11, rows, row_totals);
+        sample_col_choices(g, s.dr, 11, cols, col_totals);
+        EXPECT_EQ(rows, rows_ref) << name << " known=" << known << " t=" << threads;
+        EXPECT_EQ(cols, cols_ref) << name << " known=" << known << " t=" << threads;
+      }
+    }
   }
 }
 

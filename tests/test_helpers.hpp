@@ -56,6 +56,32 @@ inline std::vector<BipartiteGraph> small_graph_zoo() {
   return zoo;
 }
 
+/// A 1300x1500 graph whose row schedule exercises visit_list_pairs: block
+/// 0 (rows 0..511) ends in an odd run of degree-4 lists that block 1
+/// begins with (a run straddling the 512-vertex boundary), block 1 holds an
+/// odd run at kSweepDegreeCap - 1 and lists at the cap and above it, and
+/// the partial block 2 mixes degrees 0..17. Columns 1450.. are empty, rows
+/// 0..4 too.
+inline BipartiteGraph list_pairing_graph() {
+  const auto degree = [](vid_t i) -> vid_t {
+    if (i < 512) return i < 5 ? 0 : i < 205 ? 3 : 4;  // 307 lists of degree 4 close block 0
+    if (i < 1024) {
+      const vid_t k = i - 512;
+      if (k < 101) return 4;  // an odd run opening block 1
+      if (k < 108) return static_cast<vid_t>(kSweepDegreeCap) - 1;
+      if (k < 114) return static_cast<vid_t>(kSweepDegreeCap);
+      if (k < 117) return static_cast<vid_t>(kSweepDegreeCap) + 1;
+      return k == 117 ? 40 : 5;
+    }
+    return (i * 7) % 18;
+  };
+  std::vector<std::vector<vid_t>> rows(1300);
+  for (vid_t i = 0; i < 1300; ++i)
+    for (vid_t d = 0; d < degree(i); ++d)
+      rows[static_cast<std::size_t>(i)].push_back((i * 13 + d * 97) % 1450);
+  return graph_from_rows(1300, 1500, rows);
+}
+
 /// Graphs that exercise the sweep schedules (BipartiteGraph::row_schedule):
 /// blocks whose degrees lie on both sides of kSweepDegreeCap, power-law
 /// hubs, empty rows and columns, fewer vertices than one block, partial last
@@ -73,6 +99,8 @@ inline std::vector<std::pair<std::string, BipartiteGraph>> sweep_schedule_graphs
                       make_erdos_renyi(700, 1200, 1000, 3));
   graphs.emplace_back("fewer vertices than one block", make_erdos_renyi(300, 300, 1500, 2));
   graphs.emplace_back("edgeless", graph_from_rows(3, 4, {{}, {}, {}}));
+  graphs.emplace_back("list pairing, 1300x1500", list_pairing_graph());
+  graphs.emplace_back("list pairing, transposed", list_pairing_graph().transposed());
   return graphs;
 }
 

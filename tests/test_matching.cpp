@@ -8,6 +8,7 @@
 #include "graph/builder.hpp"
 #include "matching/matching.hpp"
 #include "test_helpers.hpp"
+#include "util/threading.hpp"
 
 namespace bmh {
 namespace {
@@ -85,6 +86,16 @@ TEST(Matching, ViolationMessagesAreExact) {
     ADD_FAILURE() << "no throw";
   } catch (const std::out_of_range& e) {
     EXPECT_STREQ(e.what(), "matching_from_col_view: col_match[1] = 4 is out of range [0, 2)");
+  }
+}
+
+TEST(Matching, CardinalityIsTheSameInEveryTeam) {
+  Matching m;
+  for (vid_t i = 0; i < 10007; ++i) m.row_match.push_back(i % 3 == 0 ? kNil : i);
+  for (const int threads : {1, 2, 3, 4}) {
+    const ThreadCountGuard guard(threads);
+    EXPECT_EQ(m.cardinality(), 6671) << threads << " threads";
+    EXPECT_EQ(Matching{}.cardinality(), 0) << threads << " threads";
   }
 }
 

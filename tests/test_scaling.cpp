@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "analysis/dulmage_mendelsohn.hpp"
@@ -352,7 +353,7 @@ TEST(SinkhornKnopp, ScheduledSweepsMatchNaturalOrder) {
   for (const auto& [name, g] : testing::sweep_schedule_graphs()) {
     for (const int k : {1, 2, 5, 10}) {
       const ScalingResult ref = natural_order_sinkhorn_knopp(g, k);
-      for (const int threads : {1, 4}) {
+      for (const int threads : {1, 2, 4}) {
         const ThreadCountGuard guard(threads);
         const ScalingResult r = scale_sinkhorn_knopp(g, {k, 0.0});
         SCOPED_TRACE(name + " k=" + std::to_string(k) + " t=" + std::to_string(threads));
@@ -363,6 +364,47 @@ TEST(SinkhornKnopp, ScheduledSweepsMatchNaturalOrder) {
         EXPECT_EQ(r.error, ref.error);
       }
     }
+  }
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(SinkhornKnopp, SharedTeamsMatchTheTeamOfOne) {
+  // One team body runs at every budget: a team of one on the calling
+  // thread, or one region whose members claim sweep blocks. Every output
+  // must have the team of one's bits, through a tolerance exit too, which
+  // every member has to take in the same iteration.
+  for (const auto& [name, g] : testing::sweep_schedule_graphs()) {
+    double early = 0.0;
+    {
+      const ThreadCountGuard guard(1);
+      early = scale_sinkhorn_knopp(g, {2, 0.0}).error;
+    }
+    for (const int k : {1, 5, 12})
+      for (const double tol : {0.0, early}) {
+        ScalingResult ref;
+        {
+          const ThreadCountGuard guard(1);
+          ref = scale_sinkhorn_knopp(g, {k, tol});
+        }
+        if (tol > 0.0 && k >= 2) {
+          EXPECT_TRUE(ref.converged) << name << " k=" << k;
+          EXPECT_LE(ref.iterations, 2) << name << " k=" << k;
+        }
+        for (const int threads : {2, 3, 4}) {
+          const ThreadCountGuard guard(threads);
+          const ScalingResult r = scale_sinkhorn_knopp(g, {k, tol});
+          SCOPED_TRACE(name + " k=" + std::to_string(k) + " tol=" + std::to_string(tol) +
+                       " t=" + std::to_string(threads));
+          EXPECT_TRUE(same_bits(r.dr, ref.dr));
+          EXPECT_TRUE(same_bits(r.dc, ref.dc));
+          EXPECT_TRUE(same_bits(r.row_total, ref.row_total));
+          EXPECT_TRUE(same_bits(r.col_total, ref.col_total));
+          EXPECT_TRUE(same_bits(r.error, ref.error));
+          EXPECT_EQ(r.iterations, ref.iterations);
+          EXPECT_EQ(r.converged, ref.converged);
+        }
+      }
   }
 }
 
